@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md's experiment index) and attaches the reproduced numbers to
-``benchmark.extra_info`` so they appear in the pytest-benchmark report next
-to the timing data.
+``python -m repro.experiments --list`` for the experiment index) and
+attaches the reproduced numbers to ``benchmark.extra_info`` so they appear
+in the pytest-benchmark report next to the timing data.
 """
 
 from __future__ import annotations
@@ -17,6 +17,31 @@ def record(benchmark, **values) -> None:
     """Attach reproduced experiment values to the benchmark report."""
     for key, value in values.items():
         benchmark.extra_info[key] = value
+
+
+def mean_wall_s(benchmark, fn, *args, rounds: int = 1, warmup: int = 0):
+    """Run ``fn(*args)`` for ``rounds`` timed rounds: ``(last result, mean wall s)``.
+
+    Each round is timed here with ``time.perf_counter``, so a gate reads the
+    same statistic over the same rounds whether or not pytest-benchmark is
+    collecting: under ``--benchmark-disable`` the fixture runs its target
+    once and the remaining rounds run here.  ``warmup`` untimed calls go
+    first (the plugin's own calibration call played that role before).
+    """
+    for _ in range(warmup):
+        fn(*args)
+    walls: list[float] = []
+
+    def timed_round():
+        start = time.perf_counter()
+        result = fn(*args)
+        walls.append(time.perf_counter() - start)
+        return result
+
+    result = benchmark.pedantic(timed_round, rounds=rounds, iterations=1)
+    while len(walls) < rounds:
+        result = timed_round()
+    return result, sum(walls) / len(walls)
 
 
 def best_of(fn, repeats: int) -> float:

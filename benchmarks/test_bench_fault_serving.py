@@ -23,7 +23,7 @@ from repro.serving import (
     ServingSimulator,
 )
 
-from conftest import record
+from conftest import mean_wall_s, record
 
 
 @pytest.mark.smoke
@@ -44,18 +44,18 @@ def test_bench_fault_serving_throughput(benchmark):
         retry=RetryPolicy(max_attempts=3, backoff_base_s=2e-3, jitter=0.25),
     )
 
-    report = benchmark(simulator.run, requests)
+    report, wall = mean_wall_s(benchmark, simulator.run, requests, rounds=5, warmup=1)
 
     record(
         benchmark,
-        requests_per_wall_second=round(len(requests) / benchmark.stats["mean"]),
+        requests_per_wall_second=round(len(requests) / wall),
         num_failures=report.num_failures,
         fleet_availability_pct=round(report.fleet_availability * 100, 2),
         completion_fraction=round(report.completion_fraction, 4),
     )
     assert report.num_offered == len(requests)
     assert report.num_failures > 0  # the run actually exercised faults
-    assert benchmark.stats["mean"] < 1.0
+    assert wall < 1.0
 
 
 @pytest.mark.smoke

@@ -33,7 +33,7 @@ from repro.serving import (
     TieredServiceModel,
 )
 
-from conftest import record
+from conftest import mean_wall_s, record
 
 SEQ_LEN = 128
 NUM_REQUESTS = 100_000
@@ -73,12 +73,10 @@ def test_bench_template_resample_beats_cold_executed_run(benchmark):
 
     rng = np.random.default_rng(0)
     rounds = 200
-    draws = benchmark.pedantic(
-        lambda: [template.resample(rng, 0.3) for _ in range(rounds)],
-        rounds=1,
-        iterations=1,
+    draws, wall = mean_wall_s(
+        benchmark, lambda: [template.resample(rng, 0.3) for _ in range(rounds)]
     )
-    resample_wall = benchmark.stats["mean"] / rounds
+    resample_wall = wall / rounds
 
     speedup = cold_wall / resample_wall
     record(
@@ -110,10 +108,9 @@ def test_bench_sampled_fidelity_within_2x_of_analytic(benchmark):
         seed=7,
     )
     simulator = _sharded(tiered)
-    report = benchmark.pedantic(
-        simulator.run_poisson, args=(stream, NUM_REQUESTS), rounds=1, iterations=1
+    report, tiered_wall = mean_wall_s(
+        benchmark, simulator.run_poisson, stream, NUM_REQUESTS
     )
-    tiered_wall = benchmark.stats["mean"]
 
     overhead = tiered_wall / analytic_wall
     record(

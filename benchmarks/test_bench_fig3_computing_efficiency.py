@@ -43,7 +43,7 @@ def test_bench_fig3_efficiency_comparison(benchmark, paper_values):
     # ordering of the bars in Fig. 3
     efficiencies = [r.computing_efficiency_gops_per_watt for r in table.reports]
     assert efficiencies == sorted(efficiencies)
-    # magnitudes within the reproduction bands of DESIGN.md
+    # magnitudes within reproduction bands around the paper's Fig. 3 values
     assert 450 < results.star_efficiency < 800
     assert results.gain_over_gpu > 20
     assert 3 < results.gain_over_pipelayer < 6

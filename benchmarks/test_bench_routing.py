@@ -33,7 +33,7 @@ from repro.serving import (
     SLOPolicy,
 )
 
-from conftest import best_of, record
+from conftest import best_of, mean_wall_s, record
 
 SHORT_LEN, LONG_LEN = 64, 512
 NUM_REQUESTS = 30_000
@@ -94,8 +94,7 @@ def test_bench_routing_beats_global_fifo(benchmark):
     )
 
     routed = ServingSimulator(mixed_fleet(), batcher, router=router)
-    report = benchmark.pedantic(routed.run, args=(requests,), rounds=1, iterations=1)
-    wall = benchmark.stats["mean"]
+    report, wall = mean_wall_s(benchmark, routed.run, requests)
 
     fifo_report = ServingSimulator(mixed_fleet(), batcher).run(requests)
 

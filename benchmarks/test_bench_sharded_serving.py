@@ -34,7 +34,7 @@ from repro.serving import (
     ShardedServingSimulator,
 )
 
-from conftest import record
+from conftest import mean_wall_s, record
 
 SERVICE_S = 1e-3
 LOAD = 0.7
@@ -55,14 +55,10 @@ def test_bench_sharded_million_requests(benchmark):
     num_shards = 8
     simulator = ShardedServingSimulator(fleet(num_shards), num_shards=num_shards)
 
-    report = benchmark.pedantic(
-        simulator.run_poisson,
-        args=(arrivals(num_shards), 1_000_000),
-        rounds=1,
-        iterations=1,
+    report, wall = mean_wall_s(
+        benchmark, simulator.run_poisson, arrivals(num_shards), 1_000_000
     )
 
-    wall = benchmark.stats["mean"]
     theory = MD1Queue(arrival_rate_rps=LOAD / SERVICE_S, service_s=SERVICE_S)
     deviation = abs(report.mean_wait_s - theory.mean_wait_s) / theory.mean_wait_s
     record(
@@ -136,11 +132,8 @@ def test_bench_sharded_scaling_efficiency(benchmark):
     serial_wall = time.perf_counter() - start
 
     simulator = ShardedServingSimulator(fleet(num_shards), num_shards=num_shards)
-    report = benchmark.pedantic(
-        simulator.run_poisson, args=(stream, total), rounds=1, iterations=1
-    )
+    report, parallel_wall = mean_wall_s(benchmark, simulator.run_poisson, stream, total)
 
-    parallel_wall = benchmark.stats["mean"]
     speedup = serial_wall / parallel_wall
     efficiency = speedup / num_shards
     record(

@@ -22,7 +22,7 @@ from repro.serving import (
     ServingSimulator,
 )
 
-from conftest import record
+from conftest import mean_wall_s, record
 
 
 @pytest.mark.smoke
@@ -37,7 +37,7 @@ def test_bench_closed_loop_throughput(benchmark):
         model.reset()
         return simulator.run_closed_loop(clients, 30000)
 
-    report = benchmark(run)
+    report, wall = mean_wall_s(benchmark, run, rounds=5, warmup=1)
 
     theory = MachineRepairQueue(
         num_clients=num_clients, think_s=think_s, service_s=service_s
@@ -47,13 +47,13 @@ def test_bench_closed_loop_throughput(benchmark):
     )
     record(
         benchmark,
-        requests_per_wall_second=round(30000 / benchmark.stats["mean"]),
+        requests_per_wall_second=round(30000 / wall),
         simulated_throughput_rps=round(report.throughput_rps, 1),
         machine_repair_deviation_pct=round(deviation * 100, 2),
     )
     assert report.num_requests == 30000
     assert deviation < 0.05
-    assert benchmark.stats["mean"] < 1.0
+    assert wall < 1.0
 
 
 @pytest.mark.smoke

@@ -12,7 +12,8 @@ Ours (8-bit)    0.06x   0.05x
 (ratios relative to the baseline CMOS softmax).  The benchmark rebuilds all
 three units from the shared component models and reports the reproduced
 ratios; the assertions check the orderings and the order of magnitude rather
-than the exact figures (see EXPERIMENTS.md for the side-by-side numbers).
+than the exact figures (``python -m repro.experiments e5`` prints the
+side-by-side numbers).
 """
 
 from __future__ import annotations

@@ -34,21 +34,41 @@ import numpy as np
 
 from repro.utils.validation import require_non_negative, require_positive
 
-__all__ = ["FREE", "ARRIVE", "TIMEOUT", "TICK", "EventLoop", "ServerPool", "StageJitter"]
+__all__ = [
+    "FAIL",
+    "REPAIR",
+    "WAKE",
+    "FREE",
+    "ARRIVE",
+    "TIMEOUT",
+    "HOP",
+    "DISPATCH",
+    "TICK",
+    "EventLoop",
+    "ServerPool",
+    "StageJitter",
+]
 
-#: Canonical event kinds.  At equal timestamps lower kinds are processed
-#: first: a server finishing its forward (``FREE``) is handled before a
-#: simultaneous arrival (``ARRIVE``), which is handled before batching
-#: timers (``TIMEOUT``).  Clients may define further kinds; only the
-#: relative ordering matters.
+#: Event kinds.  At equal timestamps lower kinds are processed first, so
+#: this table is the tie-break policy of every simulation on the loop:
+#:
+#: * ``FAIL`` / ``REPAIR`` — chip failure processes run before the
+#:   workload: a failure tied with a completion kills the batch (the
+#:   conservative reading) and a repair tied with an arrival is visible to
+#:   it;
+#: * ``WAKE`` — a chip finishing its wake ramp is dispatchable to
+#:   everything at its ready instant;
+#: * ``FREE`` — a server finishing is handled before a simultaneous
+#:   ``ARRIVE``, so the arrival sees the idle server directly;
+#: * ``TIMEOUT`` — batching timers after the arrivals they may unblock;
+#: * ``HOP`` — a request landing in its queue after a network hop;
+#: * ``DISPATCH`` — the deferred batch-formation sweep, after every
+#:   same-instant arrival and landing is queued;
+#: * ``TICK`` — periodic controllers (the autoscaler) observe the state
+#:   after all of the instant's work has settled.
+FAIL, REPAIR, WAKE = -3, -2, -1
 FREE, ARRIVE, TIMEOUT = 0, 1, 2
-
-#: Periodic controller timers (autoscaler evaluation, metric sampling).
-#: ``TICK`` deliberately sorts *after* every workload kind — including the
-#: deferred-dispatch kind clients conventionally place at ``TIMEOUT + 1`` —
-#: so a controller observing the system at time ``t`` sees the state after
-#: all of ``t``'s arrivals, completions and dispatches have settled.
-TICK = TIMEOUT + 2
+HOP, DISPATCH, TICK = 3, 4, 5
 
 
 class EventLoop:

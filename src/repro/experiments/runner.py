@@ -1,4 +1,4 @@
-"""Text reports for every experiment — the programmatic face of EXPERIMENTS.md.
+"""Text reports for every experiment (``python -m repro.experiments``).
 
 Each ``report_*`` function regenerates one of the paper's tables or figures
 — plus the beyond-the-paper serving reports (``e10`` healthy serving,

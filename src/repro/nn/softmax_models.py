@@ -3,7 +3,7 @@
 These are *functional* models — they compute what the respective hardware
 produces, without simulating crossbar currents — and are therefore fast
 enough to run inside full BERT-base inference for the accuracy experiments
-(E4, E8 in DESIGN.md).  The cycle/energy-accurate counterpart of
+(E4 and E8 in :mod:`repro.experiments`).  The cycle/energy-accurate counterpart of
 :class:`FixedPointSoftmax` lives in :mod:`repro.core.softmax_engine`; a test
 asserts the two produce identical numerics on the same inputs.
 """

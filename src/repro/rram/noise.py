@@ -3,7 +3,7 @@
 The STAR paper's key argument is that the softmax operation is *insensitive
 to computing precision*, which is what lets it tolerate the analog
 imperfections of an RRAM implementation.  These models let the experiments
-(E9 ablation in DESIGN.md) inject realistic device non-idealities and verify
+(the E9 ablation in :mod:`repro.experiments`) inject realistic device non-idealities and verify
 that the softmax output distribution is indeed robust.
 
 Three classes of non-ideality are modelled, each with the standard

@@ -11,8 +11,7 @@ layers on the shared discrete-event core (:mod:`repro.core.events`):
 * :mod:`~repro.serving.batcher` — the max-size + timeout dynamic batcher,
   draining FIFO or EDF (earliest absolute deadline first);
 * :mod:`~repro.serving.slo` — SLO classes/policies for tagging traffic
-  and the control-plane event loop (EDF dispatch, closed-loop clients,
-  autoscaling);
+  with per-class deadlines;
 * :mod:`~repro.serving.autoscale` — the hysteresis-band autoscaler that
   parks idle chips into non-volatile deep sleep and wakes them against
   utilization/backlog targets;
@@ -23,7 +22,10 @@ layers on the shared discrete-event core (:mod:`repro.core.events`):
   per-chip heterogeneity, shared bounded pricing caches, and tiered
   fidelity (a sampled fraction of dispatches priced off cached
   executed-schedule templates with per-layer jitter);
-* :mod:`~repro.serving.simulator` — the event-driven simulation itself;
+* :mod:`~repro.serving.simulator` — the event-driven simulation itself:
+  one event loop over a queue topology (one fleet-wide queue, or one per
+  chip behind a router) with optional fault, autoscaler and closed-loop
+  hooks, so every feature combines with every other;
 * :mod:`~repro.serving.routing` — topology-aware multi-queue serving:
   per-chip queues behind a front-end router with a configurable
   front-end→chip network stage, round-robin / join-shortest-queue /

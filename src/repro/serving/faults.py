@@ -29,8 +29,7 @@ misbehaves, each usable on its own and composed by
   failure).
 
 Every process is seeded and deterministic; a fault-injected simulation is
-exactly reproducible, and with no :class:`FaultInjector` the simulator's
-healthy path is bit-identical to the pre-fault code.
+exactly reproducible.
 """
 
 from __future__ import annotations

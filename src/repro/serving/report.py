@@ -465,7 +465,7 @@ class ScaleEvent:
         return self.ready_s - self.time_s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StealRecord:
     """One work-steal: an idle chip served a batch from a peer's queue.
 

@@ -6,65 +6,93 @@ one level up the stack: the *servers* are whole accelerator chips, the
 *items* are inference requests, and service times are whole-model batched
 inference latencies from the fleet's service model.
 
-Dynamics
---------
+One event loop
+--------------
 
-Requests arrive open-loop (their timestamps do not react to system state),
-join one fleet-wide FIFO queue, and leave in dispatched batches governed by
-the :class:`~repro.serving.batcher.DynamicBatcher`: an idle chip takes a
-batch as soon as the queue holds ``max_batch_size`` requests **or** the
-oldest queued request has waited ``max_wait_s``.  A dispatched batch pads
-to its longest member's sequence length, occupies its chip for the service
-model's batch latency, and completes all member requests at once (requests
-within a batch keep FIFO order in the records).  In the single-chip,
-no-batching limit with deterministic service this is exactly an M/D/1
-queue, which :mod:`repro.serving.theory` cross-validates.
+Every configuration — healthy or fault-injected, FIFO or EDF, global
+queue or routed, open or closed loop, fixed or autoscaled fleet — runs
+through the one loop in this module.  It is parameterised by a **queue
+topology**: a list of heaps plus each chip's *home* queue.  Without a
+router there is one heap every chip calls home (the fleet-wide queue);
+a :class:`~repro.serving.routing.Router` gives one heap per chip behind a
+front end with a network stage and work stealing.  FIFO versus EDF is
+only the heap key (:meth:`~repro.serving.batcher.DynamicBatcher.queue_key`).
 
-Results accumulate *columnar*: the hot loop appends plain scalars to
-per-column lists (three appends per request, six per batch) and the
-per-request dispatch/completion/chip columns — constant within a batch —
-are derived at the end by one vectorized gather from the batch columns.
-No per-request record object is built during simulation; the report's
-tables materialize records lazily for consumers that want them.
+Requests arrive, join their queue, and leave in dispatched batches
+governed by the :class:`~repro.serving.batcher.DynamicBatcher`: a batch
+is released as soon as its queue holds ``max_batch_size`` requests **or**
+the head has waited ``max_wait_s`` since it arrived (the maturity timer
+is armed when the request is queued, at ``max(now, arrival + max_wait)``).
+Each dispatch sweep serves the globally best mature head — oldest, or most
+urgent under EDF — on an idle home chip, or with stealing on any idle
+chip.  A dispatched batch pads to its longest member's sequence length,
+occupies its chip for the service model's batch latency, and completes
+all member requests at once.  In the single-chip, no-batching limit with
+deterministic service this is exactly an M/D/1 queue, which
+:mod:`repro.serving.theory` cross-validates.
 
-Faults
-------
+Optional hooks on the same loop:
 
-With a :class:`~repro.serving.faults.FaultInjector` (and optionally a
-:class:`~repro.serving.faults.RetryPolicy` and
-:class:`~repro.serving.faults.AdmissionController`) the same event loop
-also runs per-chip failure/repair processes:
+* **faults** — with a :class:`~repro.serving.faults.FaultInjector` (and
+  optionally a :class:`~repro.serving.faults.RetryPolicy` and
+  :class:`~repro.serving.faults.AdmissionController`) per-chip
+  failure/repair processes run alongside the traffic.  A failing chip
+  goes offline and its in-flight batch is lost: the members re-enter
+  through the retry policy (bounded attempts, deadline-aware exponential
+  backoff with jitter) or are abandoned.  Repair takes detection time plus
+  the chip's full-model operand reprogramming cost
+  (``ChipFleet.reprogram_latency_s``).  The admission controller sheds
+  arrivals beyond a bounded backlog, drops queued requests whose deadline
+  has passed, and may cap batch size while any chip is down.  A failure
+  simultaneous with a batch completion loses the batch (the conservative
+  reading).
+* **autoscaling** — an :class:`~repro.serving.autoscale.Autoscaler` runs a
+  periodic ``TICK`` controller.  Chips move between awake, waking and
+  sleeping with transitions priced by the fleet's power-state model:
+  parking starts a sleep interval after the chip's drain latency, waking
+  takes the wake latency and charges the wake energy to the report's
+  :class:`~repro.serving.report.ScaleEvent` ledger.  Only idle chips are
+  parked, so in-flight batches always finish.  Sleep time is credited
+  against idle leakage in the report's energy accounting.
+* **closed-loop clients** — :meth:`ServingSimulator.run_closed_loop`
+  issues requests from :class:`~repro.serving.arrivals.ClosedLoopClients`
+  that think, request and wait: a client's next request is scheduled only
+  when its previous one completes, is shed or is abandoned.
 
-* a failing chip goes offline — dispatch is health-aware and never offers
-  work to a failed chip — and its in-flight batch is lost: the member
-  requests re-enter the queue through the retry policy (bounded attempts,
-  deadline-aware exponential backoff with jitter) or are abandoned;
-* repair takes detection/drain time plus the chip's full-model operand
-  reprogramming cost (``ChipFleet.reprogram_latency_s``) — the
-  physically-priced maintenance event — after which the chip rejoins the
-  pool and a fresh time-to-failure is drawn;
-* the admission controller sheds arrivals beyond a bounded queue depth,
-  drops queued requests whose deadline has already passed, and may cap
-  batch size while any chip is down (degraded mode).
+A chip is dispatchable only while it is awake and not failed.
 
-A failure simultaneous with a batch completion loses the batch (failures
-order before completions at equal timestamps) — the conservative reading.
-Fault-aware runs record requests and batches at *completion* (a lost batch
-produces no records, only a :class:`~repro.serving.report.FailureRecord`),
-so their record order is completion order.  Without any fault component
-the simulator takes the original healthy path, bit-identical to the
-pre-fault simulator.
+Results accumulate *columnar*: the loop appends plain scalars to
+per-column lists and the per-request dispatch/completion/chip columns —
+constant within a batch — are derived at the end by one vectorized gather
+from the batch columns.  Rows are written at dispatch, or at completion
+when any fault component is configured (a lost batch produces no rows,
+only a :class:`~repro.serving.report.FailureRecord`), so fault-aware
+record order is completion order.
 """
 
 from __future__ import annotations
 
+import math
 import time as _time
+from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.events import ARRIVE, FREE, TIMEOUT, EventLoop, ServerPool
-from repro.serving.arrivals import Request
+from repro.core.events import (
+    ARRIVE,
+    DISPATCH,
+    FAIL,
+    FREE,
+    HOP,
+    REPAIR,
+    TICK,
+    TIMEOUT,
+    WAKE,
+    EventLoop,
+    ServerPool,
+)
+from repro.serving.arrivals import ClosedLoopClients, Request
 from repro.serving.batcher import NO_BATCHING, DynamicBatcher
 from repro.serving.faults import AdmissionController, FaultInjector, NO_ADMISSION, RetryPolicy
 from repro.serving.fleet import ChipFleet
@@ -75,85 +103,29 @@ from repro.serving.report import (
     FailureRecord,
     RequestTable,
     RetryRecord,
+    RoutingStats,
+    ScaleEvent,
     ServingReport,
+    StealRecord,
 )
+from repro.utils.validation import require_positive
 
 __all__ = ["ServingSimulator"]
 
-#: Deferred dispatch check: sorts after FREE/ARRIVE/TIMEOUT at the same
-#: instant, so simultaneous arrivals (real in replayed traces) are all
-#: enqueued before any batch-formation decision at that timestamp.
-_DISPATCH = TIMEOUT + 1
+# chip power states of an autoscaled run
+_AWAKE, _WAKING, _SLEEPING = 0, 1, 2
 
-#: Fault-process events sort *before* the workload events at the same
-#: instant: a failure tied with a batch completion kills the batch (the
-#: conservative reading), and a repair tied with an arrival is visible to
-#: it.  Negative kinds keep the canonical FREE/ARRIVE/TIMEOUT order intact.
-_FAIL = FREE - 2
-_REPAIR = FREE - 1
-
-
-def _assemble_tables(
-    req_index: list[int],
-    req_arrival: list[float],
-    req_batch: list[int],
-    req_attempts: list[int] | None,
-    b_chip: list[int],
-    b_dispatch: list[float],
-    b_completion: list[float],
-    b_size: list[int],
-    b_seq_len: list[int],
-    b_energy: list[float],
-    req_slo: list[int] | None = None,
-    req_deadline: list[float] | None = None,
-    b_tier: list[int] | None = None,
-) -> tuple[RequestTable, BatchTable]:
-    """Build the report tables from the hot loop's column lists.
-
-    Per-request dispatch/completion/chip/size/seq_len are batch-constant,
-    so only the batch row index is recorded per request and the rest is
-    one fancy-indexed gather here.
-    """
-    chip = np.asarray(b_chip, dtype=np.int64)
-    dispatch = np.asarray(b_dispatch, dtype=np.float64)
-    completion = np.asarray(b_completion, dtype=np.float64)
-    size = np.asarray(b_size, dtype=np.int64)
-    seq_len = np.asarray(b_seq_len, dtype=np.int64)
-    batch_of_request = np.asarray(req_batch, dtype=np.int64)
-    requests = RequestTable(
-        np.asarray(req_index, dtype=np.int64),
-        np.asarray(req_arrival, dtype=np.float64),
-        dispatch[batch_of_request],
-        completion[batch_of_request],
-        chip[batch_of_request],
-        batch_of_request,
-        size[batch_of_request],
-        seq_len[batch_of_request],
-        np.zeros(len(req_index), dtype=np.int64)
-        if req_attempts is None
-        else np.asarray(req_attempts, dtype=np.int64),
-        None if req_slo is None else np.asarray(req_slo, dtype=np.int64),
-        None if req_deadline is None else np.asarray(req_deadline, dtype=np.float64),
-    )
-    batches = BatchTable(
-        np.arange(len(b_chip), dtype=np.int64),
-        chip,
-        dispatch,
-        completion,
-        size,
-        seq_len,
-        np.asarray(b_energy, dtype=np.float64),
-        None if b_tier is None else np.asarray(b_tier, dtype=np.int64),
-    )
-    return requests, batches
+#: Sorts after every queue entry ``(drain key, arrival order, request)``:
+#: the head of an empty queue.
+_LAST = (math.inf, math.inf)
 
 
 def _fleet_cache_counters(fleet: ChipFleet) -> tuple[int, int, int, int, int, int]:
     """Current pricing/template cache counters summed over the fleet.
 
     Distinct cache objects and tiered models are counted once even when
-    chips share them; ``run()`` snapshots before/after and records the
-    delta, so per-run numbers stay correct with module-global caches.
+    chips share them; a run snapshots before/after and records the delta,
+    so per-run numbers stay correct with module-global caches.
     """
     pricing: dict[int, object] = {}
     tiered: dict[int, object] = {}
@@ -174,23 +146,643 @@ def _fleet_cache_counters(fleet: ChipFleet) -> tuple[int, int, int, int, int, in
     )
 
 
-def _per_chip_busy(batches: BatchTable, num_chips: int) -> tuple[float, ...]:
-    return tuple(
-        np.bincount(batches.chip, weights=batches.service_s, minlength=num_chips)
-        if len(batches)
-        else np.zeros(num_chips)
-    )
+class _Ledger:
+    """Everything one serving run writes down, and its report assembly.
+
+    Per-request rows keep only the batch row index; the batch-constant
+    columns are gathered from the batch rows at assembly.  An empty ledger
+    assembles the zero-request report of an idle shard.
+    """
+
+    def __init__(self, num_chips: int) -> None:
+        self.req_index: list[int] = []
+        self.req_arrival: list[float] = []
+        self.req_batch: list[int] = []
+        self.req_attempts: list[int] = []
+        self.req_slo: list[int] = []
+        self.req_deadline: list[float] = []
+        self.b_chip: list[int] = []
+        self.b_queue: list[int] = []
+        self.b_dispatch: list[float] = []
+        self.b_completion: list[float] = []
+        self.b_size: list[int] = []
+        self.b_seq_len: list[int] = []
+        self.b_energy: list[float] = []
+        self.b_tier: list[int] = []
+        self.shed: list[DropRecord] = []
+        self.abandoned: list[DropRecord] = []
+        self.retries: list[RetryRecord] = []
+        self.failures: list[FailureRecord] = []
+        self.steals: list[StealRecord] = []
+        self.scale_events: list[ScaleEvent] = []
+        # (start, end) deep-sleep spans per chip; a still-open span ends at inf
+        self.sleep_intervals: list[list[tuple[float, float]]] = [
+            [] for _ in range(num_chips)
+        ]
+        self.queue_peak = 0
+        self.queue_peaks = [0] * num_chips  # per queue; routed runs only
+        self.num_routed = 0
+        self.route_network_s = 0.0
+
+    def report(self, simulator: "ServingSimulator") -> ServingReport:
+        fleet = simulator.fleet
+        num_chips = fleet.num_chips
+        chip = np.asarray(self.b_chip, dtype=np.int64)
+        dispatch = np.asarray(self.b_dispatch, dtype=np.float64)
+        completion = np.asarray(self.b_completion, dtype=np.float64)
+        size = np.asarray(self.b_size, dtype=np.int64)
+        seq_len = np.asarray(self.b_seq_len, dtype=np.int64)
+        batch_of_request = np.asarray(self.req_batch, dtype=np.int64)
+        requests = RequestTable(
+            np.asarray(self.req_index, dtype=np.int64),
+            np.asarray(self.req_arrival, dtype=np.float64),
+            dispatch[batch_of_request],
+            completion[batch_of_request],
+            chip[batch_of_request],
+            batch_of_request,
+            size[batch_of_request],
+            seq_len[batch_of_request],
+            np.asarray(self.req_attempts, dtype=np.int64),
+            np.asarray(self.req_slo, dtype=np.int64),
+            np.asarray(self.req_deadline, dtype=np.float64),
+        )
+        batches = BatchTable(
+            np.arange(len(chip), dtype=np.int64),
+            chip,
+            dispatch,
+            completion,
+            size,
+            seq_len,
+            np.asarray(self.b_energy, dtype=np.float64),
+            np.asarray(self.b_tier, dtype=np.int64),
+        )
+
+        routing = None
+        if simulator.router is not None:
+            # per-queue dispatch counts and waits of the completed requests
+            queue_of_request = np.asarray(self.b_queue, dtype=np.int64)[
+                batch_of_request
+            ]
+            routing = RoutingStats(
+                policy=simulator.router.policy,
+                stealing=simulator.router.stealing,
+                num_routed=self.num_routed,
+                local_batches=len(chip) - len(self.steals),
+                stolen_batches=len(self.steals),
+                route_network_s=self.route_network_s,
+                steal_network_s=len(self.steals)
+                * simulator.router.network.steal_latency_s,
+                queue_peaks=tuple(self.queue_peaks),
+                queue_requests=tuple(
+                    np.bincount(queue_of_request, minlength=num_chips).tolist()
+                ),
+                queue_wait_s=tuple(
+                    np.bincount(
+                        queue_of_request,
+                        weights=requests.dispatch_s - requests.arrival_s,
+                        minlength=num_chips,
+                    ).tolist()
+                ),
+                steals=tuple(self.steals),
+            )
+
+        autoscaled = simulator.autoscaler is not None
+        chip_sleep_s: tuple[float, ...] = ()
+        if autoscaled:
+            window_start, window_end = (
+                (float(requests.arrival_s.min()), float(requests.completion_s.max()))
+                if len(requests)
+                else (0.0, 0.0)
+            )
+            # clip every sleep interval to the observation window so sleep
+            # credit never exceeds the makespan the report charges idle over
+            chip_sleep_s = tuple(
+                sum(
+                    max(0.0, min(end, window_end) - max(start, window_start))
+                    for start, end in intervals
+                )
+                for intervals in self.sleep_intervals
+            )
+        fault_aware = simulator.fault_aware
+        retry = simulator.retry if simulator.retry is not None else RetryPolicy()
+        return ServingReport(
+            num_chips=num_chips,
+            requests=requests,
+            batches=batches,
+            chip_busy_s=tuple(
+                np.bincount(chip, weights=batches.service_s, minlength=num_chips)
+            ),
+            queue_peak=self.queue_peak,
+            chip_idle_power_w=tuple(fleet.idle_power_w(c) for c in range(num_chips)),
+            shed=tuple(self.shed),
+            abandoned=tuple(self.abandoned),
+            retries=tuple(self.retries),
+            failures=tuple(self.failures),
+            deadline_s=retry.deadline_s if fault_aware else None,
+            faults_enabled=fault_aware,
+            scale_events=tuple(self.scale_events),
+            chip_sleep_s=chip_sleep_s,
+            chip_sleep_power_w=tuple(fleet.sleep_power_w(c) for c in range(num_chips))
+            if autoscaled
+            else (),
+            autoscale_enabled=autoscaled,
+            routing=routing,
+        )
+
+
+def _serve(
+    simulator: "ServingSimulator",
+    ordered: Sequence[Request] | None = None,
+    clients: ClosedLoopClients | None = None,
+    num_requests: int = 0,
+) -> tuple[ServingReport, EventLoop, int]:
+    """Run one serving simulation: the event loop behind every configuration.
+
+    Pass either arrival-ordered ``ordered`` requests (open loop) or
+    ``clients`` plus ``num_requests`` (closed loop).  Returns ``(report,
+    event loop, dispatch sweeps)`` so the caller can attach its profile.
+    """
+    fleet = simulator.fleet
+    batcher = simulator.batcher
+    router = simulator.router
+    autoscaler = simulator.autoscaler
+    num_chips = fleet.num_chips
+    fault_aware = simulator.fault_aware
+    retry = simulator.retry if simulator.retry is not None else RetryPolicy()
+    admission = simulator.admission if simulator.admission is not None else NO_ADMISSION
+    deadline_on = fault_aware and retry.deadline_s is not None
+    shedding = deadline_on and admission.shed_expired
+    max_queue_depth = admission.max_queue_depth
+    degraded_max_batch = admission.degraded_max_batch
+    faults = simulator.faults
+    faults = faults.session(num_chips) if faults is not None else None
+    closed = clients is not None
+    session = clients.session() if closed else None
+
+    loop = EventLoop()
+    chips = ServerPool("chips", num_chips, speedups=fleet.speedups)
+    idle = chips.idle
+    online = chips.online
+
+    # queue topology: one heap per queue, entries (drain key, arrival
+    # order, request), plus each chip's home queue
+    num_queues = 1 if router is None else num_chips
+    home = [0] * num_chips if router is None else list(range(num_chips))
+    queues: list[list[tuple[float, int, Request]]] = [[] for _ in range(num_queues)]
+    all_chips = range(num_chips)
+    owners = [[c for c in all_chips if home[c] == q] for q in range(num_queues)]
+    stealing = router is None or router.stealing
+    # per queue: requests queued in it plus in service on its home chips
+    # (per chip when routed: the load JSQ and SED route by)
+    load = [0] * num_queues
+    # each queue's head entry, _LAST while it is empty
+    heads: list[tuple] = [_LAST] * num_queues
+    steal_latency_s = 0.0
+    if router is not None:
+        route = router.chooser(fleet, batcher.max_batch_size, load, online)
+        links = router.network.links(num_chips)
+        steal_latency_s = router.network.steal_latency_s
+
+    ledger = _Ledger(num_chips)
+    b_chip = ledger.b_chip
+    queue_peaks = ledger.queue_peaks
+    shed = ledger.shed
+    abandoned = ledger.abandoned
+    queue_peak = 0
+    route_network_s = 0.0
+    total_backlog = 0
+    order = 0  # fleet-wide arrival counter (FIFO drain key)
+    num_idle = num_chips  # chips idle AND online: dispatch early-out
+    timed_wait = batcher.max_wait_s > 0.0
+    queued: set[int] = set()  # indexes awaiting dispatch (timeout liveness)
+    dispatch_calls = 0
+    # chip -> its in-flight batch: (members, queue, decided_s, dispatch_s,
+    # completion_s, seq_len, energy_j, tier)
+    inflight: list[tuple | None] = [None] * num_chips
+    attempts: dict[int, int] = {}  # index -> failed service attempts
+    failed = [False] * num_chips
+    failed_count = 0
+    # offered requests not yet completed / shed / abandoned: when this
+    # reaches 0 the traffic is resolved and the failure process and the
+    # autoscaler stop renewing, letting the event heap drain
+    outstanding = num_requests if closed else len(ordered)
+    issued = 0  # closed-loop requests issued so far
+    client_of: dict[int, int] = {}  # closed-loop request index -> client
+
+    state = [_AWAKE] * num_chips
+    sleep_start = [0.0] * num_chips  # meaningful while _SLEEPING
+    awake_count = num_chips
+    awake_accum = 0.0  # awake chip-seconds integrated up to last_transition
+    last_transition = 0.0
+    window_busy = 0.0  # chips.busy_s at the previous tick
+    window_awake = 0.0  # awake_accum at the previous tick
+
+    # hot-loop local bindings: attribute loads cost in a loop that runs
+    # once per event over millions of events
+    schedule = loop.schedule
+    batcher_ready = batcher.ready
+    batcher_batch_of = batcher.batch_of
+    queue_key = batcher.queue_key
+    batch_latency_s = fleet.batch_latency_s
+    batch_energy_j = fleet.batch_energy_j
+    batch_tier = fleet.batch_tier
+    max_wait_s = batcher.max_wait_s
+    req_index = ledger.req_index.append
+    req_arrival = ledger.req_arrival.append
+    req_batch = ledger.req_batch.append
+    req_attempts = ledger.req_attempts.append
+    req_slo = ledger.req_slo.append
+    req_deadline = ledger.req_deadline.append
+    attempts_of = attempts.get
+
+    def refresh(chip: int) -> None:
+        """Re-derive whether a chip may take work: awake and not failed."""
+        nonlocal num_idle
+        usable = state[chip] == _AWAKE and not failed[chip]
+        if usable != online[chip]:
+            chips.set_online(chip, usable)
+            if idle[chip]:
+                num_idle += 1 if usable else -1
+
+    def reissue(time: float, client: int) -> None:
+        """A closed-loop client thinks, then issues its next request."""
+        if issued < num_requests:
+            schedule(time + session.next_think_s(), ARRIVE, None, client)
+
+    def drop(request: Request, time: float, reason: str, ledger_list: list) -> None:
+        nonlocal outstanding
+        queued.discard(request.index)
+        ledger_list.append(
+            DropRecord(
+                index=request.index,
+                time_s=time,
+                reason=reason,
+                attempts=attempts_of(request.index, 0),
+            )
+        )
+        outstanding -= 1
+        if closed:
+            reissue(time, client_of.pop(request.index))
+
+    def expired(request: Request, now: float) -> bool:
+        return now > retry.deadline_of(request.arrival_s)
+
+    def land(time: float, request: Request, arrival_order: int, queue: int) -> None:
+        """The request joins its queue and arms its maturity timer."""
+        nonlocal total_backlog, queue_peak
+        heap = queues[queue]
+        heappush(heap, (queue_key(request, arrival_order), arrival_order, request))
+        heads[queue] = heap[0]
+        total_backlog += 1
+        load[queue] += 1
+        if total_backlog > queue_peak:
+            queue_peak = total_backlog
+        if len(heap) > queue_peaks[queue]:
+            queue_peaks[queue] = len(heap)
+        queued.add(request.index)
+        if timed_wait:
+            # maturity is measured from the request's arrival: a retry or a
+            # hop-delayed landing can already be mature when it is queued
+            schedule(max(time, request.arrival_s + max_wait_s), TIMEOUT, request.index)
+        schedule(time, DISPATCH)
+
+    def idle_owner(queue: int) -> int | None:
+        """The lowest-indexed idle dispatchable chip whose home is ``queue``."""
+        for chip in owners[queue]:
+            if idle[chip] and online[chip]:
+                return chip
+        return None
+
+    def record(chip: int, info: tuple) -> None:
+        """Write one batch row, its request rows and any steal record."""
+        members, queue, decided_s, dispatch_s, done_s, seq_len, energy, tier = info
+        row = len(b_chip)
+        b_chip.append(chip)
+        ledger.b_queue.append(queue)
+        ledger.b_dispatch.append(dispatch_s)
+        ledger.b_completion.append(done_s)
+        ledger.b_size.append(len(members))
+        ledger.b_seq_len.append(seq_len)
+        ledger.b_energy.append(energy)
+        ledger.b_tier.append(tier)
+        if queue != home[chip]:
+            ledger.steals.append(StealRecord(row, queue, chip, decided_s))
+        for r in members:
+            req_index(r.index)
+            req_arrival(r.arrival_s)
+            req_batch(row)
+            req_attempts(attempts_of(r.index, 0))
+            req_slo(r.slo_class)
+            req_deadline(r.deadline_s)
+
+    def dispatch(time: float, force: bool) -> None:
+        """Serve mature queue heads fleet-wide, oldest/most-urgent first.
+
+        Each round picks the globally best mature head and serves it on an
+        idle home chip, else — with stealing — on the lowest-indexed idle
+        chip, which pays the steal hop.  ``force`` releases the first batch
+        past a maturity check that float rounding may have stranded (set
+        by a TIMEOUT whose request is still queued, where ``(arrival +
+        max_wait) - arrival`` may round below ``max_wait``).
+        """
+        nonlocal total_backlog, num_idle
+        while True:
+            if shedding:
+                # head-of-line deadline shedding: an expired head must not
+                # mature a batch or burn chip time nobody is waiting for
+                for q, heap in enumerate(queues):
+                    while heap and expired(heap[0][2], time):
+                        total_backlog -= 1
+                        load[q] -= 1
+                        drop(heappop(heap)[2], time, "deadline", shed)
+                        heads[q] = heap[0] if heap else _LAST
+            if num_idle == 0 or total_backlog == 0:
+                return
+            if stealing and not timed_wait:
+                # every head is servable and mature: take the best outright
+                best = heads.index(min(heads))
+            else:
+                best, best_head = -1, _LAST
+                for q, head in enumerate(heads):
+                    if not head < best_head:
+                        continue
+                    if not stealing and idle_owner(q) is None:
+                        continue  # without stealing only a home chip serves q
+                    if timed_wait and not (
+                        force or batcher_ready(len(queues[q]), time - head[2].arrival_s)
+                    ):
+                        continue  # not mature yet
+                    best, best_head = q, head
+                if best < 0:
+                    return
+            for chip in owners[best]:
+                if idle[chip] and online[chip]:
+                    dispatch_s = time
+                    break
+            else:  # steal: the lowest-indexed idle chip serves it
+                chip = idle.index(True)
+                if not online[chip]:
+                    chip = next(c for c in all_chips if idle[c] and online[c])
+                dispatch_s = time + steal_latency_s
+            force = False
+            heap = queues[best]
+            take = batcher_batch_of(len(heap))
+            if degraded_max_batch is not None and failed_count:
+                take = min(take, degraded_max_batch)
+            members: list[Request] = []
+            queued_before = len(heap)
+            while len(members) < take and heap:
+                request = heappop(heap)[2]
+                if shedding and expired(request, time):
+                    drop(request, time, "deadline", shed)
+                    continue
+                members.append(request)
+            total_backlog -= queued_before - len(heap)
+            load[best] -= queued_before - len(heap)
+            heads[best] = heap[0] if heap else _LAST
+            if not members:
+                continue  # everything popped was expired; re-evaluate
+            queued.difference_update(r.index for r in members)
+            seq_len = max(r.seq_len for r in members)
+            service = batch_latency_s(chip, len(members), seq_len)
+            # read before the chip's model (possibly shared) prices again
+            tier = batch_tier(chip)
+            energy = batch_energy_j(chip, len(members), seq_len)
+            completion = dispatch_s + service
+            chips.acquire(chip)
+            num_idle -= 1
+            chips.occupy(service)
+            load[home[chip]] += len(members)
+            info = (members, best, time, dispatch_s, completion, seq_len, energy, tier)
+            inflight[chip] = info
+            if not fault_aware:
+                record(chip, info)
+            schedule(completion, FREE, chip, info)
+
+    if closed:
+        for client in range(clients.num_clients):
+            schedule(session.next_think_s(), ARRIVE, None, client)
+    else:
+        for request in ordered:
+            schedule(request.arrival_s, ARRIVE, request)
+    if faults is not None:
+        for chip in range(num_chips):
+            schedule(faults.time_to_failure_s(chip), FAIL, chip)
+    if autoscaler is not None:
+        for chip in range(autoscaler.initial(num_chips), num_chips):
+            state[chip] = _SLEEPING
+            refresh(chip)
+            awake_count -= 1
+        schedule(autoscaler.interval_s, TICK)
+
+    while loop:
+        time, kind, data = loop.pop()
+        if kind == ARRIVE:
+            request = data[0]
+            if request is None:  # a closed-loop client ends its think time
+                if issued >= num_requests:
+                    continue  # traffic quota reached: the client retires
+                client = data[1]
+                request = Request(
+                    index=issued,
+                    arrival_s=time,
+                    seq_len=session.next_seq_len(),
+                    slo_class=session.slo_class_of(client),
+                    deadline_s=session.deadline_of(client),
+                )
+                client_of[issued] = client
+                issued += 1
+            if max_queue_depth is not None and total_backlog >= max_queue_depth:
+                drop(request, time, "queue_full", shed)
+                continue
+            if router is None:
+                land(time, request, order, 0)
+            else:
+                queue = route(request)
+                hop = links[queue]
+                route_network_s += hop
+                if hop == 0.0:
+                    # zero-latency link: land within the arrival event
+                    # (no extra heap traffic)
+                    land(time, request, order, queue)
+                else:
+                    schedule(time + hop, HOP, request, order, queue)
+            order += 1
+        elif kind == DISPATCH:
+            # force only if the matured request is *still* waiting now
+            dispatch_calls += 1
+            dispatch(time, bool(data) and data[0] in queued)
+        elif kind == FREE:
+            chip, info = data
+            if inflight[chip] is not info:
+                continue  # completion of a batch a failure already killed
+            inflight[chip] = None
+            if fault_aware:
+                record(chip, info)
+            members = info[0]
+            load[home[chip]] -= len(members)
+            chips.release(chip)
+            num_idle += 1  # busy chips are never parked, failed ones never free
+            outstanding -= len(members)
+            if closed:
+                for r in members:
+                    reissue(time, client_of.pop(r.index))
+            schedule(time, DISPATCH)
+        elif kind == TIMEOUT:
+            if data[0] in queued:
+                schedule(time, DISPATCH, data[0])
+        elif kind == HOP:
+            land(time, *data)
+        elif kind == FAIL:
+            chip = data[0]
+            if outstanding == 0:
+                continue  # traffic resolved: let the failure process die out
+            failed[chip] = True
+            failed_count += 1
+            refresh(chip)
+            repaired_s = time + faults.downtime_s(chip, fleet.reprogram_latency_s(chip))
+            lost = 0
+            wasted = 0.0
+            info = inflight[chip]
+            if info is not None:
+                # the in-flight batch dies with the chip
+                inflight[chip] = None
+                chips.release(chip)
+                members, _, _, dispatch_s, completion_s, _, energy, _ = info
+                lost = len(members)
+                load[home[chip]] -= lost
+                service = completion_s - dispatch_s
+                # a stolen batch may still be on its steal hop
+                progress = (time - dispatch_s) / service if service > 0 else 1.0
+                wasted = energy * max(0.0, progress)
+                for request in members:
+                    attempt = attempts_of(request.index, 0) + 1
+                    attempts[request.index] = attempt
+                    if attempt >= retry.max_attempts:
+                        drop(request, time, "retries_exhausted", abandoned)
+                        continue
+                    reenqueue_s = time + retry.backoff_s(attempt, faults.jitter_rng)
+                    if deadline_on and expired(request, reenqueue_s):
+                        # deadline-aware backoff: a retry that cannot
+                        # complete in time is abandoned, not queued
+                        drop(request, time, "deadline", abandoned)
+                        continue
+                    ledger.retries.append(
+                        RetryRecord(
+                            index=request.index,
+                            attempt=attempt,
+                            failure_s=time,
+                            reenqueue_s=reenqueue_s,
+                        )
+                    )
+                    # a retry re-enters through the front end (re-routed
+                    # when routing: the failed chip is offline)
+                    schedule(reenqueue_s, ARRIVE, request)
+            ledger.failures.append(
+                FailureRecord(
+                    chip=chip,
+                    fail_s=time,
+                    repaired_s=repaired_s,
+                    lost_requests=lost,
+                    wasted_energy_j=wasted,
+                )
+            )
+            schedule(repaired_s, REPAIR, chip)
+        elif kind == REPAIR:
+            chip = data[0]
+            failed[chip] = False
+            failed_count -= 1
+            refresh(chip)
+            if outstanding > 0:
+                schedule(time + faults.time_to_failure_s(chip), FAIL, chip)
+                schedule(time, DISPATCH)
+        elif kind == WAKE:
+            chip = data[0]
+            awake_accum += awake_count * (time - last_transition)
+            last_transition = time
+            awake_count += 1
+            state[chip] = _AWAKE
+            refresh(chip)
+            schedule(time, DISPATCH)
+        else:  # TICK
+            if outstanding <= 0:
+                continue  # traffic resolved: the controller stops
+            awake_accum += awake_count * (time - last_transition)
+            last_transition = time
+            awake_delta = awake_accum - window_awake
+            busy_delta = chips.busy_s - window_busy
+            window_awake = awake_accum
+            window_busy = chips.busy_s
+            utilization = busy_delta / awake_delta if awake_delta > 0 else 0.0
+            active = sum(1 for s in state if s != _SLEEPING)
+            delta = autoscaler.decide(utilization, total_backlog, active)
+            if delta > 0:
+                allowed = min(delta, autoscaler.bound(num_chips) - active)
+                for chip in range(num_chips):
+                    if allowed <= 0:
+                        break
+                    if state[chip] != _SLEEPING:
+                        continue
+                    # the sleep interval ends at the wake *decision*: the
+                    # ramp is priced as wake energy, not sleep leakage
+                    ledger.sleep_intervals[chip].append((sleep_start[chip], time))
+                    state[chip] = _WAKING
+                    ready = time + fleet.wake_latency_s(chip)
+                    ledger.scale_events.append(
+                        ScaleEvent(
+                            chip=chip,
+                            time_s=time,
+                            action="wake",
+                            ready_s=ready,
+                            energy_j=fleet.wake_energy_j(chip),
+                        )
+                    )
+                    schedule(ready, WAKE, chip)
+                    allowed -= 1
+            elif delta < 0:
+                allowed = min(-delta, active - autoscaler.min_chips)
+                # park from the top so low-indexed chips stay the stable core
+                for chip in range(num_chips - 1, -1, -1):
+                    if allowed <= 0:
+                        break
+                    if state[chip] != _AWAKE or not idle[chip]:
+                        continue  # never park a busy chip
+                    if not stealing and queues[home[chip]]:
+                        continue  # nobody else may serve its queue
+                    state[chip] = _SLEEPING
+                    refresh(chip)
+                    awake_count -= 1
+                    entry = fleet.sleep_entry_latency_s(chip)
+                    ledger.scale_events.append(
+                        ScaleEvent(
+                            chip=chip,
+                            time_s=time,
+                            action="sleep",
+                            ready_s=time + entry,
+                        )
+                    )
+                    sleep_start[chip] = time + entry
+                    allowed -= 1
+            schedule(time + autoscaler.interval_s, TICK)
+
+    for chip in range(num_chips):
+        if state[chip] == _SLEEPING:
+            ledger.sleep_intervals[chip].append((sleep_start[chip], math.inf))
+    ledger.queue_peak = queue_peak
+    ledger.num_routed = order  # every admitted arrival is routed once
+    ledger.route_network_s = route_network_s
+    return ledger.report(simulator), loop, dispatch_calls
 
 
 class ServingSimulator:
     """Event-driven executor of a request stream over a chip fleet.
 
     ``faults``, ``retry`` and ``admission`` are all optional; passing any
-    of them switches the run to the fault-aware path (``retry`` defaults
-    to a stock :class:`~repro.serving.faults.RetryPolicy` and ``admission``
-    to :data:`~repro.serving.faults.NO_ADMISSION` there).  With none of
-    them the healthy path is taken, bit-identical to the pre-fault
-    simulator.
+    of them makes the run fault-aware (``retry`` defaults to a stock
+    :class:`~repro.serving.faults.RetryPolicy` and ``admission`` to
+    :data:`~repro.serving.faults.NO_ADMISSION` there).  ``autoscaler``
+    parks and wakes chips, ``router`` replaces the fleet-wide queue with
+    per-chip queues; every combination runs on the same event loop.
 
     After every run :attr:`last_profile` holds the run's hot-path counters
     (events scheduled/popped, dispatch sweeps, wall time); when the global
@@ -216,26 +808,6 @@ class ServingSimulator:
         self.autoscaler = autoscaler
         self.router = router
         self.last_profile: RunProfile | None = None
-        if self.router is not None and self.autoscaler is not None:
-            raise ValueError(
-                "the multi-queue router and the autoscaler cannot be combined "
-                "in one run yet: the autoscaler's control plane drains one "
-                "fleet-wide queue. Router + autoscaler interaction is tracked "
-                "as an open item in ROADMAP.md"
-            )
-        # the routed loop drains EDF per-queue heaps and runs the fault
-        # machinery in one loop, so the exclusion below only binds the
-        # global-queue paths
-        if self.router is None and self.fault_aware and self.slo_aware:
-            raise ValueError(
-                "fault injection and the SLO/autoscale control plane cannot "
-                "be combined in one run yet: pass either faults/retry/"
-                "admission or an EDF batcher/autoscaler, not both. "
-                "To study both effects, run two simulators over the same "
-                "arrivals — one with faults=..., one with the EDF batcher/"
-                "autoscaler — and compare their reports; unifying the two "
-                "event loops is tracked as an open item in ROADMAP.md"
-            )
 
     @property
     def fault_aware(self) -> bool:
@@ -245,11 +817,6 @@ class ServingSimulator:
             or self.retry is not None
             or self.admission is not None
         )
-
-    @property
-    def slo_aware(self) -> bool:
-        """Whether runs need the control-plane path (EDF order or autoscaling)."""
-        return self.autoscaler is not None or self.batcher.deadline_ordered
 
     def run(self, requests: Sequence[Request], label: str = "serving") -> ServingReport:
         """Serve every request and report the completed run.
@@ -261,94 +828,33 @@ class ServingSimulator:
         if not requests:
             raise ValueError("cannot simulate an empty request stream")
         ordered = sorted(requests, key=lambda r: r.arrival_s)
-        counters = _fleet_cache_counters(self.fleet)
-        start = _time.perf_counter()
-        if self.router is not None:
-            # the routed loop handles healthy, fault-aware, and EDF drains
-            # itself: per-chip queues replace both the global FIFO and the
-            # control plane's fleet-wide deadline heap
-            from repro.serving.routing import run_routed
-
-            report, loop, dispatch_calls = run_routed(
-                self.fleet,
-                self.batcher,
-                self.router,
-                ordered,
-                faults=self.faults,
-                retry=self.retry,
-                admission=self.admission,
-            )
-        elif self.fault_aware:
-            report, loop, dispatch_calls = self._run_fault_aware(ordered)
-        elif self.slo_aware:
-            from repro.serving.slo import run_control_plane
-
-            report, loop, dispatch_calls = run_control_plane(
-                self.fleet, self.batcher, self.autoscaler, requests=ordered
-            )
-        else:
-            report, loop, dispatch_calls = self._run_healthy(ordered)
-        wall_s = _time.perf_counter() - start
-        deltas = tuple(
-            after - before
-            for after, before in zip(_fleet_cache_counters(self.fleet), counters)
-        )
-        self.last_profile = RunProfile(
-            label=label,
-            events_scheduled=loop.events_scheduled,
-            events_popped=loop.events_popped,
-            dispatch_calls=dispatch_calls,
-            num_requests=report.num_requests,
-            num_batches=report.num_batches,
-            wall_s=wall_s,
-            pricing_hits=deltas[0],
-            pricing_misses=deltas[1],
-            template_hits=deltas[2],
-            template_misses=deltas[3],
-            analytic_batches=deltas[4],
-            executed_batches=deltas[5],
-            routed_requests=report.routing.num_routed if report.routing else 0,
-            stolen_batches=report.routing.stolen_batches if report.routing else 0,
-            peak_queue_depth=report.routing.peak_queue_depth if report.routing else 0,
-        )
-        PROFILER.record(self.last_profile)
-        return report
+        return self._profiled(label, ordered=ordered)
 
     def run_closed_loop(
-        self, clients, num_requests: int, label: str = "closed-loop"
+        self, clients: ClosedLoopClients, num_requests: int, label: str = "closed-loop"
     ) -> ServingReport:
         """Serve ``num_requests`` issued by closed-loop clients.
 
         Arrivals react to completions (think -> request -> completion ->
-        think), so this always takes the control-plane path — with a FIFO
-        batcher and no autoscaler it is the plain machine-repair closed
-        queue the theory module cross-validates.  Fault injection is not
-        supported on this path.
+        think; a shed or abandoned request also sends its client back to
+        thinking).  With a FIFO batcher, one chip and nothing else this is
+        the plain machine-repair closed queue the theory module
+        cross-validates.
         """
-        if self.fault_aware:
-            raise ValueError("closed-loop runs do not support fault injection")
-        if self.router is not None:
-            raise ValueError(
-                "closed-loop runs do not support the multi-queue router: "
-                "closed-loop clients react to completions through the "
-                "control plane's fleet-wide queue"
-            )
-        from repro.serving.slo import run_control_plane
+        require_positive(num_requests, "num_requests")
+        return self._profiled(label, clients=clients, num_requests=num_requests)
 
+    def _profiled(self, label: str, **traffic) -> ServingReport:
+        """Run the loop and keep its profile in :attr:`last_profile`."""
         counters = _fleet_cache_counters(self.fleet)
         start = _time.perf_counter()
-        report, loop, dispatch_calls = run_control_plane(
-            self.fleet,
-            self.batcher,
-            self.autoscaler,
-            clients=clients,
-            num_requests=num_requests,
-        )
+        report, loop, dispatch_calls = _serve(self, **traffic)
         wall_s = _time.perf_counter() - start
-        deltas = tuple(
+        deltas = [
             after - before
             for after, before in zip(_fleet_cache_counters(self.fleet), counters)
-        )
+        ]
+        routing = report.routing
         self.last_profile = RunProfile(
             label=label,
             events_scheduled=loop.events_scheduled,
@@ -363,400 +869,9 @@ class ServingSimulator:
             template_misses=deltas[3],
             analytic_batches=deltas[4],
             executed_batches=deltas[5],
+            routed_requests=routing.num_routed if routing else 0,
+            stolen_batches=routing.stolen_batches if routing else 0,
+            peak_queue_depth=routing.peak_queue_depth if routing else 0,
         )
         PROFILER.record(self.last_profile)
         return report
-
-    # ------------------------------------------------------------------ #
-    # healthy path (no faults, no admission control)
-    # ------------------------------------------------------------------ #
-    def _run_healthy(
-        self, ordered: list[Request]
-    ) -> tuple[ServingReport, EventLoop, int]:
-        loop = EventLoop()
-        chips = ServerPool("chips", self.fleet.num_chips, speedups=self.fleet.speedups)
-        for request in ordered:
-            loop.schedule(request.arrival_s, ARRIVE, request)
-
-        req_index: list[int] = []
-        req_arrival: list[float] = []
-        req_batch: list[int] = []
-        req_slo: list[int] = []
-        req_deadline: list[float] = []
-        b_chip: list[int] = []
-        b_dispatch: list[float] = []
-        b_completion: list[float] = []
-        b_size: list[int] = []
-        b_seq_len: list[int] = []
-        b_energy: list[float] = []
-        b_tier: list[int] = []
-        timed_wait = self.batcher.max_wait_s > 0.0
-        queued: set[int] = set()  # indexes awaiting dispatch (timeout liveness)
-        dispatch_calls = 0
-
-        # hot-loop local bindings: attribute loads cost in a loop that runs
-        # once per event over millions of events
-        schedule = loop.schedule
-        batcher_ready = self.batcher.ready
-        batcher_batch_of = self.batcher.batch_of
-        batch_latency_s = self.fleet.batch_latency_s
-        batch_energy_j = self.fleet.batch_energy_j
-        batch_tier = self.fleet.batch_tier
-        max_wait_s = self.batcher.max_wait_s
-
-        def dispatch(time: float, force: bool = False) -> None:
-            """Release ready batches to idle chips until either runs out.
-
-            ``force`` releases the first batch even if the policy says the
-            head is not quite mature: it is set by a TIMEOUT event whose
-            request is still queued, where ``(arrival + max_wait) - arrival``
-            may round below ``max_wait`` and strand the queue forever.
-            """
-            while True:
-                depth = chips.queue_depth()
-                oldest = chips.peek(0)
-                if oldest is None:
-                    return
-                if not force and not batcher_ready(depth, time - oldest.arrival_s):
-                    return
-                chip = chips.idle_server()
-                if chip is None:
-                    return
-                force = False  # one forced batch per timeout
-                batch = [chips.pop(0) for _ in range(batcher_batch_of(depth))]
-                queued.difference_update(r.index for r in batch)
-                seq_len = max(r.seq_len for r in batch)
-                service = batch_latency_s(chip, len(batch), seq_len)
-                # tier must be read before the chip's model prices another
-                # batch — chips may share one model object
-                tier = batch_tier(chip)
-                completion = time + service
-                chips.acquire(chip)
-                chips.occupy(service)
-                schedule(completion, FREE, chip)
-                batch_row = len(b_chip)
-                b_chip.append(chip)
-                b_dispatch.append(time)
-                b_completion.append(completion)
-                b_size.append(len(batch))
-                b_seq_len.append(seq_len)
-                b_energy.append(batch_energy_j(chip, len(batch), seq_len))
-                b_tier.append(tier)
-                for r in batch:
-                    req_index.append(r.index)
-                    req_arrival.append(r.arrival_s)
-                    req_batch.append(batch_row)
-                    req_slo.append(r.slo_class)
-                    req_deadline.append(r.deadline_s)
-
-        while loop:
-            time, kind, data = loop.pop()
-            if kind == ARRIVE:
-                request = data[0]
-                chips.enqueue(0, request)
-                queued.add(request.index)
-                if timed_wait:
-                    # lazy maturity timer: when it fires the request either
-                    # already left in a batch (no-op) or unblocks a partial one
-                    schedule(time + max_wait_s, TIMEOUT, request.index)
-                schedule(time, _DISPATCH)
-            elif kind == FREE:
-                chips.release(data[0])
-                schedule(time, _DISPATCH)
-            elif kind == TIMEOUT:
-                if data[0] in queued:
-                    schedule(time, _DISPATCH, data[0])
-            else:  # _DISPATCH
-                # force only if the matured request is *still* waiting now
-                dispatch_calls += 1
-                dispatch(time, force=bool(data) and data[0] in queued)
-
-        requests, batches = _assemble_tables(
-            req_index, req_arrival, req_batch, None,
-            b_chip, b_dispatch, b_completion, b_size, b_seq_len, b_energy,
-            req_slo, req_deadline, b_tier,
-        )
-        report = ServingReport(
-            num_chips=self.fleet.num_chips,
-            requests=requests,
-            batches=batches,
-            chip_busy_s=_per_chip_busy(batches, self.fleet.num_chips),
-            queue_peak=chips.queue_peak,
-            chip_idle_power_w=tuple(
-                self.fleet.idle_power_w(chip) for chip in range(self.fleet.num_chips)
-            ),
-        )
-        return report, loop, dispatch_calls
-
-    # ------------------------------------------------------------------ #
-    # fault-aware path (failures, retries, admission control)
-    # ------------------------------------------------------------------ #
-    def _run_fault_aware(
-        self, ordered: list[Request]
-    ) -> tuple[ServingReport, EventLoop, int]:
-        num_chips = self.fleet.num_chips
-        retry = self.retry if self.retry is not None else RetryPolicy()
-        admission = self.admission if self.admission is not None else NO_ADMISSION
-        deadline_on = retry.deadline_s is not None
-        session = self.faults.session(num_chips) if self.faults is not None else None
-
-        loop = EventLoop()
-        chips = ServerPool("chips", num_chips, speedups=self.fleet.speedups)
-        for request in ordered:
-            loop.schedule(request.arrival_s, ARRIVE, request)
-        if session is not None:
-            for chip in range(num_chips):
-                loop.schedule(session.time_to_failure_s(chip), _FAIL, chip)
-
-        req_index: list[int] = []
-        req_arrival: list[float] = []
-        req_batch: list[int] = []
-        req_attempts: list[int] = []
-        req_slo: list[int] = []
-        req_deadline: list[float] = []
-        b_chip: list[int] = []
-        b_dispatch: list[float] = []
-        b_completion: list[float] = []
-        b_size: list[int] = []
-        b_seq_len: list[int] = []
-        b_energy: list[float] = []
-        b_tier: list[int] = []
-        shed: list[DropRecord] = []
-        abandoned: list[DropRecord] = []
-        retries: list[RetryRecord] = []
-        failures: list[FailureRecord] = []
-        attempts: dict[int, int] = {}  # index -> failed service attempts
-        timed_wait = self.batcher.max_wait_s > 0.0
-        queued: set[int] = set()
-        dispatch_calls = 0
-        # chip -> the batch it is serving: dict(epoch, members, dispatch_s,
-        # completion_s, seq_len, energy_j); records are written only when a
-        # batch *completes*, so a killed batch leaves no request records
-        inflight: list[dict | None] = [None] * num_chips
-        epoch = [0] * num_chips
-        failed = [False] * num_chips
-        # offered requests not yet completed / shed / abandoned: when this
-        # reaches 0 the traffic is resolved and fault events stop renewing,
-        # letting the event heap drain
-        outstanding = len(ordered)
-
-        def expired(request: Request, now: float) -> bool:
-            return deadline_on and now > retry.deadline_of(request.arrival_s)
-
-        def shed_from_queue(request: Request, time: float) -> None:
-            nonlocal outstanding
-            queued.discard(request.index)
-            shed.append(
-                DropRecord(
-                    index=request.index,
-                    time_s=time,
-                    reason="deadline",
-                    attempts=attempts.get(request.index, 0),
-                )
-            )
-            outstanding -= 1
-
-        def dispatch(time: float, force: bool = False) -> None:
-            """Health- and deadline-aware batch release (see healthy path)."""
-            while True:
-                oldest = chips.peek(0)
-                if oldest is None:
-                    return
-                # head-of-line deadline shedding: an expired head must not
-                # mature a batch or burn chip time nobody is waiting for
-                if admission.shed_expired and expired(oldest, time):
-                    chips.pop(0)
-                    shed_from_queue(oldest, time)
-                    continue
-                depth = chips.queue_depth()
-                if not force and not self.batcher.ready(depth, time - oldest.arrival_s):
-                    return
-                chip = chips.idle_server()  # never offers a failed chip
-                if chip is None:
-                    return
-                force = False
-                take = self.batcher.batch_of(depth)
-                if admission.degraded_max_batch is not None and any(failed):
-                    take = min(take, admission.degraded_max_batch)
-                members: list[Request] = []
-                while len(members) < take:
-                    request = chips.pop(0)
-                    if request is None:
-                        break
-                    if admission.shed_expired and expired(request, time):
-                        shed_from_queue(request, time)
-                        continue
-                    members.append(request)
-                if not members:
-                    continue  # everything popped was expired; re-evaluate
-                queued.difference_update(r.index for r in members)
-                seq_len = max(r.seq_len for r in members)
-                service = self.fleet.batch_latency_s(chip, len(members), seq_len)
-                completion = time + service
-                chips.acquire(chip)
-                chips.occupy(service)
-                epoch[chip] += 1
-                inflight[chip] = {
-                    "epoch": epoch[chip],
-                    "members": members,
-                    "dispatch_s": time,
-                    "completion_s": completion,
-                    "seq_len": seq_len,
-                    "energy_j": self.fleet.batch_energy_j(chip, len(members), seq_len),
-                    "tier": self.fleet.batch_tier(chip),
-                }
-                loop.schedule(completion, FREE, chip, epoch[chip])
-
-        while loop:
-            time, kind, data = loop.pop()
-            if kind == ARRIVE:
-                request = data[0]
-                if not admission.admits(chips.queue_depth()):
-                    shed.append(
-                        DropRecord(
-                            index=request.index,
-                            time_s=time,
-                            reason="queue_full",
-                            attempts=attempts.get(request.index, 0),
-                        )
-                    )
-                    outstanding -= 1
-                    continue
-                chips.enqueue(0, request)
-                queued.add(request.index)
-                if timed_wait:
-                    loop.schedule(
-                        time + self.batcher.max_wait_s, TIMEOUT, request.index
-                    )
-                loop.schedule(time, _DISPATCH)
-            elif kind == FREE:
-                chip, free_epoch = data
-                info = inflight[chip]
-                if info is None or info["epoch"] != free_epoch:
-                    continue  # completion of a batch a failure already killed
-                inflight[chip] = None
-                chips.release(chip)
-                batch_row = len(b_chip)
-                b_chip.append(chip)
-                b_dispatch.append(info["dispatch_s"])
-                b_completion.append(time)
-                b_size.append(len(info["members"]))
-                b_seq_len.append(info["seq_len"])
-                b_energy.append(info["energy_j"])
-                b_tier.append(info["tier"])
-                for r in info["members"]:
-                    req_index.append(r.index)
-                    req_arrival.append(r.arrival_s)
-                    req_batch.append(batch_row)
-                    req_attempts.append(attempts.get(r.index, 0))
-                    req_slo.append(r.slo_class)
-                    req_deadline.append(r.deadline_s)
-                outstanding -= len(info["members"])
-                loop.schedule(time, _DISPATCH)
-            elif kind == TIMEOUT:
-                if data[0] in queued:
-                    loop.schedule(time, _DISPATCH, data[0])
-            elif kind == _FAIL:
-                chip = data[0]
-                if outstanding == 0:
-                    continue  # traffic resolved: let the failure process die out
-                failed[chip] = True
-                chips.set_online(chip, False)
-                repaired_s = time + session.downtime_s(
-                    chip, self.fleet.reprogram_latency_s(chip)
-                )
-                lost = 0
-                wasted = 0.0
-                info = inflight[chip]
-                if info is not None:
-                    # the in-flight batch dies with the chip
-                    inflight[chip] = None
-                    chips.release(chip)
-                    lost = len(info["members"])
-                    service = info["completion_s"] - info["dispatch_s"]
-                    progress = (time - info["dispatch_s"]) / service if service > 0 else 1.0
-                    wasted = info["energy_j"] * progress
-                    for request in info["members"]:
-                        attempts[request.index] = attempts.get(request.index, 0) + 1
-                        attempt = attempts[request.index]
-                        if attempt >= retry.max_attempts:
-                            abandoned.append(
-                                DropRecord(
-                                    index=request.index,
-                                    time_s=time,
-                                    reason="retries_exhausted",
-                                    attempts=attempt,
-                                )
-                            )
-                            outstanding -= 1
-                            continue
-                        reenqueue_s = time + retry.backoff_s(
-                            attempt, session.jitter_rng if session else None
-                        )
-                        if deadline_on and reenqueue_s > retry.deadline_of(
-                            request.arrival_s
-                        ):
-                            # deadline-aware backoff: a retry that cannot
-                            # complete in time is abandoned, not queued
-                            abandoned.append(
-                                DropRecord(
-                                    index=request.index,
-                                    time_s=time,
-                                    reason="deadline",
-                                    attempts=attempt,
-                                )
-                            )
-                            outstanding -= 1
-                            continue
-                        retries.append(
-                            RetryRecord(
-                                index=request.index,
-                                attempt=attempt,
-                                failure_s=time,
-                                reenqueue_s=reenqueue_s,
-                            )
-                        )
-                        loop.schedule(reenqueue_s, ARRIVE, request)
-                failures.append(
-                    FailureRecord(
-                        chip=chip,
-                        fail_s=time,
-                        repaired_s=repaired_s,
-                        lost_requests=lost,
-                        wasted_energy_j=wasted,
-                    )
-                )
-                loop.schedule(repaired_s, _REPAIR, chip)
-            elif kind == _REPAIR:
-                chip = data[0]
-                failed[chip] = False
-                chips.set_online(chip, True)
-                if outstanding > 0:
-                    loop.schedule(time + session.time_to_failure_s(chip), _FAIL, chip)
-                    loop.schedule(time, _DISPATCH)
-            else:  # _DISPATCH
-                dispatch_calls += 1
-                dispatch(time, force=bool(data) and data[0] in queued)
-
-        requests, batches = _assemble_tables(
-            req_index, req_arrival, req_batch, req_attempts,
-            b_chip, b_dispatch, b_completion, b_size, b_seq_len, b_energy,
-            req_slo, req_deadline, b_tier,
-        )
-        report = ServingReport(
-            num_chips=num_chips,
-            requests=requests,
-            batches=batches,
-            chip_busy_s=_per_chip_busy(batches, num_chips),
-            queue_peak=chips.queue_peak,
-            chip_idle_power_w=tuple(
-                self.fleet.idle_power_w(chip) for chip in range(num_chips)
-            ),
-            shed=tuple(shed),
-            abandoned=tuple(abandoned),
-            retries=tuple(retries),
-            failures=tuple(failures),
-            deadline_s=retry.deadline_s,
-            faults_enabled=True,
-        )
-        return report, loop, dispatch_calls

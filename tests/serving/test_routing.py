@@ -31,7 +31,6 @@ from repro.serving import (
     SLOPolicy,
     StealRecord,
 )
-from repro.serving.autoscale import Autoscaler
 
 
 class PerTokenModel:
@@ -101,20 +100,6 @@ class TestRouterValidation:
             "join_shortest_queue",
             "shortest_expected_delay",
         }
-
-    def test_router_with_autoscaler_rejected(self):
-        scaler = Autoscaler(min_chips=1)
-        with pytest.raises(ValueError, match="autoscal"):
-            ServingSimulator(fixed_fleet(), autoscaler=scaler, router=Router())
-
-    def test_router_with_closed_loop_rejected(self):
-        from repro.serving.arrivals import ClosedLoopClients
-
-        simulator = routed()
-        with pytest.raises(ValueError, match="closed-loop"):
-            simulator.run_closed_loop(
-                ClosedLoopClients(num_clients=4, think_s=1e-3, seed=0), 20
-            )
 
 
 class TestRoutingPolicies:
@@ -201,7 +186,9 @@ class TestNetworkStage:
 
 
 class TestWorkStealing:
-    def steal_report(self, stealing: bool) -> ServingReport:
+    def steal_report(
+        self, stealing: bool, faults: FaultInjector | None = None
+    ) -> ServingReport:
         # round-robin halves traffic over a 4x-speed-skewed pair: the fast
         # chip drains its own queue and then idles unless it may steal
         fleet = ChipFleet(
@@ -214,11 +201,20 @@ class TestWorkStealing:
             network=NetworkModel(steal_latency_s=1e-5),
             stealing=stealing,
         )
-        simulator = ServingSimulator(fleet, router=router)
+        simulator = ServingSimulator(fleet, router=router, faults=faults)
         return simulator.run(PoissonArrivals(3000.0, seed=7).generate(400))
 
-    def test_stealing_happens_and_is_recorded(self):
-        report = self.steal_report(stealing=True)
+    @pytest.mark.parametrize(
+        "faults",
+        [None, FaultInjector(mtbf_s=0.05, detection_s=1e-3, repair_s=5e-3, seed=7)],
+        ids=["healthy", "faults"],
+    )
+    def test_stealing_happens_and_is_recorded(self, faults):
+        # with faults rows are written at completion, and a steal record
+        # must still name the row of the batch it stole
+        report = self.steal_report(stealing=True, faults=faults)
+        if faults is not None:
+            assert report.num_failures > 0
         stats = report.routing
         assert stats.stolen_batches > 0
         assert len(stats.steals) == stats.stolen_batches

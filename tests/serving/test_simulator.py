@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.serving import (
+    Autoscaler,
     ChipFleet,
+    ClosedLoopClients,
     DynamicBatcher,
+    FaultInjector,
     FixedServiceModel,
+    NetworkModel,
     NO_BATCHING,
     PoissonArrivals,
     Request,
+    RetryPolicy,
+    Router,
     ServingSimulator,
     StarServiceModel,
     TraceArrivals,
@@ -198,3 +206,100 @@ class TestReportMetrics:
         assert model.batch_latency_s(1, 64) == StarServiceModel(
             cache=PricingCache(maxsize=4)
         ).batch_latency_s(1, 64)
+
+
+# feature pairs served by the same event loop: the extra simulator
+# arguments of each, and whether its traffic is closed-loop
+_FAULTS = FaultInjector(mtbf_s=0.02, detection_s=1e-3, repair_s=4e-3, seed=5)
+_SCALER = Autoscaler(interval_s=5e-3, scale_up_queue_depth=8, initial_chips=1)
+_ROUTER = Router(
+    policy="join_shortest_queue",
+    network=NetworkModel(link_latency_s=1e-5, steal_latency_s=1e-5),
+)
+_EDF = DynamicBatcher.edf(max_batch_size=4, max_wait_s=1e-3)
+COMBINATIONS = {
+    # without stealing, so no chip may be parked over a queue only it serves
+    "router+autoscaler": (
+        dict(router=replace(_ROUTER, stealing=False), autoscaler=_SCALER),
+        False,
+    ),
+    "faults+edf": (
+        dict(batcher=_EDF, faults=_FAULTS, retry=RetryPolicy(deadline_s=0.05)),
+        False,
+    ),
+    "faults+autoscaler": (dict(faults=_FAULTS, autoscaler=_SCALER), False),
+    "closed-loop+router": (dict(router=_ROUTER), True),
+    "closed-loop+faults": (dict(faults=_FAULTS, retry=RetryPolicy()), True),
+}
+
+
+class TestFeatureCombinations:
+    @pytest.mark.parametrize("name", list(COMBINATIONS))
+    def test_combination_invariants(self, name):
+        kwargs, closed = COMBINATIONS[name]
+        kwargs = dict(kwargs)
+        batcher = kwargs.pop("batcher", DynamicBatcher(4, max_wait_s=1e-3))
+        model = FixedServiceModel(
+            1e-3, request_energy_j=1e-6, sleep_entry_latency_s=1e-3, wake_latency_s=2e-3
+        )
+        simulator = ServingSimulator(ChipFleet(model, num_chips=3), batcher, **kwargs)
+        if closed:
+            offered = 400
+            clients = ClosedLoopClients(num_clients=6, think_s=2e-3, seed=3)
+            report = simulator.run_closed_loop(clients, offered)
+        else:
+            offered = 600
+            arrivals = PoissonArrivals(2000.0, seq_len=[64, 128], seed=1)
+            report = simulator.run(arrivals.generate(offered))
+
+        # each configured feature really acted on the run
+        if "faults" in kwargs:
+            assert report.num_failures > 0
+        if "autoscaler" in kwargs:
+            assert report.scale_events
+        if "router" in kwargs:
+            assert report.routing.num_routed >= report.num_requests
+
+        # conservation: completed, shed and abandoned partition the offered
+        resolved = sorted(
+            report.requests.index.tolist()
+            + [drop.index for drop in report.shed]
+            + [drop.index for drop in report.abandoned]
+        )
+        assert resolved == list(range(offered))
+
+        # chip exclusivity: no two batches overlap on one chip
+        for chip in range(report.num_chips):
+            batches = sorted(
+                (b for b in report.batches if b.chip == chip),
+                key=lambda b: b.dispatch_s,
+            )
+            for earlier, later in zip(batches, batches[1:]):
+                assert later.dispatch_s >= earlier.completion_s - 1e-12
+
+        # no batch runs on a failed chip, none dispatches on a parked one
+        for failure in report.failures:
+            for batch in report.batches:
+                if batch.chip == failure.chip:
+                    assert (
+                        batch.completion_s <= failure.fail_s + 1e-12
+                        or batch.dispatch_s >= failure.repaired_s - 1e-12
+                    )
+        # chips beyond initial_chips start parked at time zero
+        parked_since = (
+            {chip: 0.0 for chip in range(1, report.num_chips)}
+            if "autoscaler" in kwargs
+            else {}
+        )
+        parked = []
+        for event in report.scale_events:
+            if event.action == "sleep":
+                parked_since[event.chip] = event.time_s
+            else:
+                start = parked_since.pop(event.chip)
+                parked.append((event.chip, start, event.ready_s))
+        parked += [(chip, start, float("inf")) for chip, start in parked_since.items()]
+        for batch in report.batches:
+            for chip, start, ready in parked:
+                if batch.chip == chip:
+                    assert not start <= batch.dispatch_s < ready

@@ -16,7 +16,6 @@ from repro.core.schedule_cache import ScheduleTemplate, ScheduleTemplateCache
 from repro.serving import (
     ChipFleet,
     DynamicBatcher,
-    FaultInjector,
     FixedServiceModel,
     PoissonArrivals,
     ServingReport,
@@ -233,25 +232,3 @@ class TestTierReporting:
         profiler.enabled = True
         profiler.record(profile)
         assert "tiers a/x" in profiler.format_table()
-
-
-class TestFaultsControlPlaneGuard:
-    def test_combined_faults_and_autoscale_raise_with_remediation_hint(self):
-        from repro.serving.autoscale import Autoscaler
-
-        fleet = ChipFleet(FixedServiceModel(1e-3), num_chips=2)
-        with pytest.raises(ValueError, match="two simulators over the same"):
-            ServingSimulator(
-                fleet,
-                faults=FaultInjector(mtbf_s=1.0, detection_s=0.01, repair_s=0.01),
-                autoscaler=Autoscaler(),
-            )
-
-    def test_combined_faults_and_edf_raise_with_remediation_hint(self):
-        fleet = ChipFleet(FixedServiceModel(1e-3), num_chips=2)
-        with pytest.raises(ValueError, match="ROADMAP"):
-            ServingSimulator(
-                fleet,
-                DynamicBatcher.edf(max_batch_size=4, max_wait_s=1e-3),
-                faults=FaultInjector(mtbf_s=1.0, detection_s=0.01, repair_s=0.01),
-            )
