@@ -92,6 +92,7 @@ from repro.serving.report import (
     ScaleEvent,
     ServingReport,
     StealRecord,
+    StealTable,
 )
 from repro.serving.routing import ROUTING_POLICIES, NetworkModel, Router
 from repro.serving.sharded import SPLIT_POLICIES, ShardedServingSimulator
@@ -143,6 +144,7 @@ __all__ = [
     "FailureRecord",
     "ScaleEvent",
     "StealRecord",
+    "StealTable",
     "RoutingStats",
     "ServingReport",
     "Profiler",

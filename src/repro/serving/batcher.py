@@ -70,11 +70,6 @@ class DynamicBatcher:
         """The deadline-aware variant: drain by earliest absolute deadline."""
         return cls(max_batch_size=max_batch_size, max_wait_s=max_wait_s, order="edf")
 
-    @property
-    def deadline_ordered(self) -> bool:
-        """Whether this policy needs the deadline-aware dispatch path."""
-        return self.order == "edf"
-
     def ready(self, queue_len: int, oldest_wait_s: float) -> bool:
         """Should a batch be released to an idle chip right now?"""
         if queue_len <= 0:

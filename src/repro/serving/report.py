@@ -49,6 +49,7 @@ __all__ = [
     "FailureRecord",
     "ScaleEvent",
     "StealRecord",
+    "StealTable",
     "RoutingStats",
     "ServingReport",
 ]
@@ -484,6 +485,75 @@ class StealRecord:
             raise ValueError(f"steal from queue {self.queue} to its own chip")
 
 
+class StealTable:
+    """Columnar store of work-steal records (see :class:`RequestTable`).
+
+    Indexing with a slice gives the sub-table of those steals.
+    """
+
+    __slots__ = ("batch_index", "queue", "chip", "decided_s")
+
+    def __init__(self, batch_index, queue, chip, decided_s) -> None:
+        self.batch_index = _column(batch_index, np.int64)
+        self.queue = _column(queue, np.int64)
+        self.chip = _column(chip, np.int64)
+        self.decided_s = _column(decided_s, np.float64)
+        length = self.batch_index.size
+        for name in self.__slots__:
+            if getattr(self, name).size != length:
+                raise ValueError(
+                    f"steal column {name!r} has {getattr(self, name).size} "
+                    f"entries for {length} steals"
+                )
+        own = np.flatnonzero(self.queue == self.chip)
+        if own.size:
+            raise ValueError(f"steal from queue {self.queue[own[0]]} to its own chip")
+
+    @classmethod
+    def from_records(cls, records: Iterable[StealRecord]) -> "StealTable":
+        records = list(records)
+        return cls(
+            [s.batch_index for s in records],
+            [s.queue for s in records],
+            [s.chip for s in records],
+            [s.decided_s for s in records],
+        )
+
+    @classmethod
+    def concatenate(cls, tables: Sequence["StealTable"]) -> "StealTable":
+        return cls(
+            *[
+                np.concatenate([getattr(t, name) for t in tables])
+                for name in cls.__slots__
+            ]
+        )
+
+    def __len__(self) -> int:
+        return self.batch_index.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return StealTable(*[getattr(self, name)[i] for name in self.__slots__])
+        return StealRecord(
+            batch_index=int(self.batch_index[i]),
+            queue=int(self.queue[i]),
+            chip=int(self.chip[i]),
+            decided_s=float(self.decided_s[i]),
+        )
+
+    def __iter__(self) -> Iterator[StealRecord]:
+        for i in range(len(self)):
+            yield self[i]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StealTable):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__
+        )
+
+
 @dataclass(frozen=True)
 class RoutingStats:
     """Per-queue and per-policy ledger of a multi-queue routed run.
@@ -493,7 +563,8 @@ class RoutingStats:
     dispatched *from* it (whether served locally or stolen), and their
     summed arrival-to-dispatch waits.  ``route_network_s`` and
     ``steal_network_s`` total the front-end→chip and chip→chip hop time
-    charged; ``steals`` records each individual steal.
+    charged; ``steals`` records each individual steal (records are
+    converted to a :class:`StealTable` on construction).
     """
 
     policy: str
@@ -506,7 +577,11 @@ class RoutingStats:
     queue_peaks: tuple[int, ...]
     queue_requests: tuple[int, ...]
     queue_wait_s: tuple[float, ...]
-    steals: tuple[StealRecord, ...] = ()
+    steals: StealTable = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.steals, StealTable):
+            object.__setattr__(self, "steals", StealTable.from_records(self.steals))
 
     @property
     def num_queues(self) -> int:
@@ -540,17 +615,15 @@ class RoutingStats:
                 f"cannot merge routing stats with differing policies: "
                 f"{sorted(policies)}"
             )
-        steals: list[StealRecord] = []
-        for stats, chip_offset, batch_offset in parts:
-            steals.extend(
-                replace(
-                    steal,
-                    batch_index=steal.batch_index + batch_offset,
-                    queue=steal.queue + chip_offset,
-                    chip=steal.chip + chip_offset,
-                )
-                for steal in stats.steals
+        steals = [
+            StealTable(
+                s.steals.batch_index + batch_offset,
+                s.steals.queue + chip_offset,
+                s.steals.chip + chip_offset,
+                s.steals.decided_s,
             )
+            for s, chip_offset, batch_offset in parts
+        ]
         first = parts[0][0]
         return cls(
             policy=first.policy,
@@ -563,7 +636,7 @@ class RoutingStats:
             queue_peaks=tuple(p for s, _, _ in parts for p in s.queue_peaks),
             queue_requests=tuple(r for s, _, _ in parts for r in s.queue_requests),
             queue_wait_s=tuple(w for s, _, _ in parts for w in s.queue_wait_s),
-            steals=tuple(steals),
+            steals=StealTable.concatenate(steals),
         )
 
 

@@ -35,10 +35,12 @@ baseline, bit for bit (the property suite asserts full report equality).
 of comparing policies.
 
 Routing composes with every other feature of the loop: failed or parked
-chips are never routed to (their queue survives and peers may steal from
-it), a retried request re-enters through the router and pays a fresh
-network hop, and admission control sheds against the fleet-wide landed
-backlog.
+chips are never routed to while another chip is online (a failed chip's
+queue survives and peers may steal from it), a retried request re-enters
+through the router and pays a fresh network hop, and admission control
+sheds against the fleet-wide landed backlog.  Without stealing no chip is
+parked while its queue holds work or a request is on its way to it, so
+every queue keeps a chip that will serve it.
 """
 
 from __future__ import annotations
@@ -130,59 +132,40 @@ class Router:
         fleet: ChipFleet,
         batch_size: int,
         load: Sequence[int],
-        online: Sequence[bool],
+        targets: Sequence[int],
     ) -> Callable[[Request], int]:
         """The front end's request → queue decision over live loop state.
 
         ``load`` (requests queued at plus in service on each chip) and
-        ``online`` (dispatchable chips) are the event loop's own lists,
-        read afresh at every call.  ``batch_size`` is the batch the cost
-        oracle amortizes a request over.  JSQ and SED never pick an offline
-        chip unless every chip is offline.
+        ``targets`` (the chips a request may be routed to right now, in
+        index order) are the event loop's own lists, read afresh at every
+        call.  ``batch_size`` is the batch the cost oracle amortizes a
+        request over.
         """
-        all_chips = tuple(range(fleet.num_chips))
         if self.policy == "round_robin":
-            cursor = itertools.cycle(all_chips)
-            return lambda request: next(cursor)
-
-        def healthy() -> Sequence[int]:
-            """Online chips, or every chip when all are offline."""
-            return [c for c in all_chips if online[c]] or all_chips
-
-        def shortest(request: Request) -> int:
-            """The chip with the least load, lowest index on ties."""
-            if all(online):
-                return load.index(min(load))
-            return min(healthy(), key=load.__getitem__)
-
+            turn = itertools.cycle(range(fleet.num_chips))
+            return lambda request: next(c for c in turn if c in targets)
         if self.policy == "join_shortest_queue":
-            return shortest
+            # the chip with the least load, lowest index on ties
+            return lambda request: min(targets, key=load.__getitem__)
 
         links = self.network.links(fleet.num_chips)
         # per-seq_len amortized cost row (one float per chip), built lazily:
-        # routing runs once per request, so it must not allocate.  ``None``
-        # marks a length every chip prices alike (and above zero): over free
-        # links the expected delay then ranks chips exactly by outstanding
-        # work, which is the shortest-queue choice
-        cost_rows: dict[int, list[float] | None] = {}
+        # routing runs once per request, so it must not allocate
+        cost_rows: dict[int, list[float]] = {}
 
-        def cost_row(seq_len: int) -> list[float] | None:
-            row = [
+        def cost_row(seq_len: int) -> list[float]:
+            row = cost_rows[seq_len] = [
                 _oracle_latency_s(fleet, chip, batch_size, seq_len) / batch_size
-                for chip in all_chips
+                for chip in range(fleet.num_chips)
             ]
-            if not any(links) and row[0] > 0 and row.count(row[0]) == len(row):
-                row = None
-            cost_rows[seq_len] = row
             return row
 
         def route(request: Request) -> int:
             seq_len = request.seq_len
             costs = cost_rows[seq_len] if seq_len in cost_rows else cost_row(seq_len)
-            if costs is None:
-                return shortest(request)
             best, best_cost = -1, _INF
-            for c in all_chips if all(online) else healthy():
+            for c in targets:
                 # network hop plus the chip's outstanding work priced at the
                 # candidate's amortized full-batch cost
                 cost = links[c] + (load[c] + 1) * costs[c]

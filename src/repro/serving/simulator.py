@@ -52,8 +52,10 @@ Optional hooks on the same loop:
   parking starts a sleep interval after the chip's drain latency, waking
   takes the wake latency and charges the wake energy to the report's
   :class:`~repro.serving.report.ScaleEvent` ledger.  Only idle chips are
-  parked, so in-flight batches always finish.  Sleep time is credited
-  against idle leakage in the report's energy accounting.
+  parked, so in-flight batches always finish; without work stealing a
+  chip is also kept awake while its queue holds work or a routed request
+  is on its hop to it, so no request waits on a parked chip.  Sleep time
+  is credited against idle leakage in the report's energy accounting.
 * **closed-loop clients** — :meth:`ServingSimulator.run_closed_loop`
   issues requests from :class:`~repro.serving.arrivals.ClosedLoopClients`
   that think, request and wait: a client's next request is scheduled only
@@ -106,14 +108,11 @@ from repro.serving.report import (
     RoutingStats,
     ScaleEvent,
     ServingReport,
-    StealRecord,
+    StealTable,
 )
 from repro.utils.validation import require_positive
 
 __all__ = ["ServingSimulator"]
-
-# chip power states of an autoscaled run
-_AWAKE, _WAKING, _SLEEPING = 0, 1, 2
 
 #: Sorts after every queue entry ``(drain key, arrival order, request)``:
 #: the head of an empty queue.
@@ -163,6 +162,8 @@ class _Ledger:
         self.req_deadline: list[float] = []
         self.b_chip: list[int] = []
         self.b_queue: list[int] = []
+        # when the batch was decided: its dispatch, or one steal hop earlier
+        self.b_decided: list[float] = []
         self.b_dispatch: list[float] = []
         self.b_completion: list[float] = []
         self.b_size: list[int] = []
@@ -173,7 +174,6 @@ class _Ledger:
         self.abandoned: list[DropRecord] = []
         self.retries: list[RetryRecord] = []
         self.failures: list[FailureRecord] = []
-        self.steals: list[StealRecord] = []
         self.scale_events: list[ScaleEvent] = []
         # (start, end) deep-sleep spans per chip; a still-open span ends at inf
         self.sleep_intervals: list[list[tuple[float, float]]] = [
@@ -219,19 +219,26 @@ class _Ledger:
 
         routing = None
         if simulator.router is not None:
+            # queue q is chip q's home: a batch served off its queue's chip
+            # was stolen
+            queue = np.asarray(self.b_queue, dtype=np.int64)
+            stolen = np.flatnonzero(queue != chip)
+            steals = StealTable(
+                stolen,
+                queue[stolen],
+                chip[stolen],
+                np.asarray(self.b_decided, dtype=np.float64)[stolen],
+            )
             # per-queue dispatch counts and waits of the completed requests
-            queue_of_request = np.asarray(self.b_queue, dtype=np.int64)[
-                batch_of_request
-            ]
+            queue_of_request = queue[batch_of_request]
             routing = RoutingStats(
                 policy=simulator.router.policy,
                 stealing=simulator.router.stealing,
                 num_routed=self.num_routed,
-                local_batches=len(chip) - len(self.steals),
-                stolen_batches=len(self.steals),
+                local_batches=len(chip) - len(steals),
+                stolen_batches=len(steals),
                 route_network_s=self.route_network_s,
-                steal_network_s=len(self.steals)
-                * simulator.router.network.steal_latency_s,
+                steal_network_s=len(steals) * simulator.router.network.steal_latency_s,
                 queue_peaks=tuple(self.queue_peaks),
                 queue_requests=tuple(
                     np.bincount(queue_of_request, minlength=num_chips).tolist()
@@ -243,7 +250,7 @@ class _Ledger:
                         minlength=num_chips,
                     ).tolist()
                 ),
-                steals=tuple(self.steals),
+                steals=steals,
             )
 
         autoscaled = simulator.autoscaler is not None
@@ -312,7 +319,7 @@ def _serve(
     admission = simulator.admission if simulator.admission is not None else NO_ADMISSION
     deadline_on = fault_aware and retry.deadline_s is not None
     shedding = deadline_on and admission.shed_expired
-    max_queue_depth = admission.max_queue_depth
+    admits = admission.admits
     degraded_max_batch = admission.degraded_max_batch
     faults = simulator.faults
     faults = faults.session(num_chips) if faults is not None else None
@@ -337,9 +344,19 @@ def _serve(
     load = [0] * num_queues
     # each queue's head entry, _LAST while it is empty
     heads: list[tuple] = [_LAST] * num_queues
+    # per queue: routed requests still on their network hop
+    inbound = [0] * num_queues
+    # per chip power state of an autoscaled run: parked (asleep, or still
+    # draining into sleep) or waking; a chip that is neither is awake
+    parked = [False] * num_chips
+    waking = [False] * num_chips
+    # the chips a request may be routed to: the dispatchable ones, or with
+    # none, those that come back by themselves (failed or waking, never a
+    # parked chip — only the autoscaler wakes that)
+    targets = list(all_chips)
     steal_latency_s = 0.0
     if router is not None:
-        route = router.chooser(fleet, batcher.max_batch_size, load, online)
+        route = router.chooser(fleet, batcher.max_batch_size, load, targets)
         links = router.network.links(num_chips)
         steal_latency_s = router.network.steal_latency_s
 
@@ -369,8 +386,7 @@ def _serve(
     issued = 0  # closed-loop requests issued so far
     client_of: dict[int, int] = {}  # closed-loop request index -> client
 
-    state = [_AWAKE] * num_chips
-    sleep_start = [0.0] * num_chips  # meaningful while _SLEEPING
+    sleep_start = [0.0] * num_chips  # meaningful while parked
     awake_count = num_chips
     awake_accum = 0.0  # awake chip-seconds integrated up to last_transition
     last_transition = 0.0
@@ -396,13 +412,17 @@ def _serve(
     attempts_of = attempts.get
 
     def refresh(chip: int) -> None:
-        """Re-derive whether a chip may take work: awake and not failed."""
+        """Re-derive whether a chip may take work (awake and not failed)
+        and where the router may send requests."""
         nonlocal num_idle
-        usable = state[chip] == _AWAKE and not failed[chip]
+        usable = not (parked[chip] or waking[chip] or failed[chip])
         if usable != online[chip]:
             chips.set_online(chip, usable)
             if idle[chip]:
                 num_idle += 1 if usable else -1
+        targets[:] = [c for c in all_chips if online[c]] or [
+            c for c in all_chips if not parked[c]
+        ]
 
     def reissue(time: float, client: int) -> None:
         """A closed-loop client thinks, then issues its next request."""
@@ -454,19 +474,18 @@ def _serve(
         return None
 
     def record(chip: int, info: tuple) -> None:
-        """Write one batch row, its request rows and any steal record."""
+        """Write one batch row and its request rows."""
         members, queue, decided_s, dispatch_s, done_s, seq_len, energy, tier = info
         row = len(b_chip)
         b_chip.append(chip)
         ledger.b_queue.append(queue)
+        ledger.b_decided.append(decided_s)
         ledger.b_dispatch.append(dispatch_s)
         ledger.b_completion.append(done_s)
         ledger.b_size.append(len(members))
         ledger.b_seq_len.append(seq_len)
         ledger.b_energy.append(energy)
         ledger.b_tier.append(tier)
-        if queue != home[chip]:
-            ledger.steals.append(StealRecord(row, queue, chip, decided_s))
         for r in members:
             req_index(r.index)
             req_arrival(r.arrival_s)
@@ -498,23 +517,19 @@ def _serve(
                         heads[q] = heap[0] if heap else _LAST
             if num_idle == 0 or total_backlog == 0:
                 return
-            if stealing and not timed_wait:
-                # every head is servable and mature: take the best outright
-                best = heads.index(min(heads))
-            else:
-                best, best_head = -1, _LAST
-                for q, head in enumerate(heads):
-                    if not head < best_head:
-                        continue
-                    if not stealing and idle_owner(q) is None:
-                        continue  # without stealing only a home chip serves q
-                    if timed_wait and not (
-                        force or batcher_ready(len(queues[q]), time - head[2].arrival_s)
-                    ):
-                        continue  # not mature yet
-                    best, best_head = q, head
-                if best < 0:
-                    return
+            best, best_head = -1, _LAST
+            for q, head in enumerate(heads):
+                if not head < best_head:
+                    continue
+                if not stealing and idle_owner(q) is None:
+                    continue  # without stealing only a home chip serves q
+                if timed_wait and not (
+                    force or batcher_ready(len(queues[q]), time - head[2].arrival_s)
+                ):
+                    continue  # not mature yet
+                best, best_head = q, head
+            if best < 0:
+                return
             for chip in owners[best]:
                 if idle[chip] and online[chip]:
                     dispatch_s = time
@@ -570,7 +585,7 @@ def _serve(
             schedule(faults.time_to_failure_s(chip), FAIL, chip)
     if autoscaler is not None:
         for chip in range(autoscaler.initial(num_chips), num_chips):
-            state[chip] = _SLEEPING
+            parked[chip] = True
             refresh(chip)
             awake_count -= 1
         schedule(autoscaler.interval_s, TICK)
@@ -592,7 +607,7 @@ def _serve(
                 )
                 client_of[issued] = client
                 issued += 1
-            if max_queue_depth is not None and total_backlog >= max_queue_depth:
+            if not admits(total_backlog):
                 drop(request, time, "queue_full", shed)
                 continue
             if router is None:
@@ -606,6 +621,7 @@ def _serve(
                     # (no extra heap traffic)
                     land(time, request, order, queue)
                 else:
+                    inbound[queue] += 1
                     schedule(time + hop, HOP, request, order, queue)
             order += 1
         elif kind == DISPATCH:
@@ -632,6 +648,7 @@ def _serve(
             if data[0] in queued:
                 schedule(time, DISPATCH, data[0])
         elif kind == HOP:
+            inbound[data[2]] -= 1
             land(time, *data)
         elif kind == FAIL:
             chip = data[0]
@@ -701,7 +718,7 @@ def _serve(
             awake_accum += awake_count * (time - last_transition)
             last_transition = time
             awake_count += 1
-            state[chip] = _AWAKE
+            waking[chip] = False
             refresh(chip)
             schedule(time, DISPATCH)
         else:  # TICK
@@ -714,19 +731,21 @@ def _serve(
             window_awake = awake_accum
             window_busy = chips.busy_s
             utilization = busy_delta / awake_delta if awake_delta > 0 else 0.0
-            active = sum(1 for s in state if s != _SLEEPING)
+            active = num_chips - sum(parked)
             delta = autoscaler.decide(utilization, total_backlog, active)
             if delta > 0:
                 allowed = min(delta, autoscaler.bound(num_chips) - active)
                 for chip in range(num_chips):
                     if allowed <= 0:
                         break
-                    if state[chip] != _SLEEPING:
+                    if not parked[chip]:
                         continue
                     # the sleep interval ends at the wake *decision*: the
                     # ramp is priced as wake energy, not sleep leakage
                     ledger.sleep_intervals[chip].append((sleep_start[chip], time))
-                    state[chip] = _WAKING
+                    parked[chip] = False
+                    waking[chip] = True
+                    refresh(chip)
                     ready = time + fleet.wake_latency_s(chip)
                     ledger.scale_events.append(
                         ScaleEvent(
@@ -745,11 +764,11 @@ def _serve(
                 for chip in range(num_chips - 1, -1, -1):
                     if allowed <= 0:
                         break
-                    if state[chip] != _AWAKE or not idle[chip]:
+                    if parked[chip] or waking[chip] or not idle[chip]:
                         continue  # never park a busy chip
-                    if not stealing and queues[home[chip]]:
-                        continue  # nobody else may serve its queue
-                    state[chip] = _SLEEPING
+                    if not stealing and (queues[home[chip]] or inbound[home[chip]]):
+                        continue  # nobody else may serve its queued or inbound work
+                    parked[chip] = True
                     refresh(chip)
                     awake_count -= 1
                     entry = fleet.sleep_entry_latency_s(chip)
@@ -766,7 +785,7 @@ def _serve(
             schedule(time + autoscaler.interval_s, TICK)
 
     for chip in range(num_chips):
-        if state[chip] == _SLEEPING:
+        if parked[chip]:
             ledger.sleep_intervals[chip].append((sleep_start[chip], math.inf))
     ledger.queue_peak = queue_peak
     ledger.num_routed = order  # every admitted arrival is routed once

@@ -9,6 +9,8 @@ bit-identity legs live in ``test_routing_properties.py``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.serving import (
@@ -30,6 +32,7 @@ from repro.serving import (
     SLOClass,
     SLOPolicy,
     StealRecord,
+    StealTable,
 )
 
 
@@ -235,6 +238,21 @@ class TestWorkStealing:
     def test_steal_record_validates(self):
         with pytest.raises(ValueError, match="steal"):
             StealRecord(batch_index=0, queue=1, chip=1, decided_s=0.0)
+        with pytest.raises(ValueError, match="steal"):
+            StealTable([0, 1], [1, 2], [0, 2], [0.0, 1.0])
+
+    def test_steal_table_round_trips_records(self):
+        records = [
+            StealRecord(batch_index=3, queue=1, chip=0, decided_s=0.5),
+            StealRecord(batch_index=7, queue=0, chip=1, decided_s=0.75),
+        ]
+        table = StealTable.from_records(records)
+        assert list(table) == records
+        assert table[1] == records[1]
+        assert list(table[1:]) == records[1:]
+        # RoutingStats converts records to the columnar table
+        stats = self.steal_report(stealing=True).routing
+        assert replace(stats, steals=list(stats.steals)) == stats
 
 
 class TestRoutedFaults:

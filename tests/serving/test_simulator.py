@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import pytest
 
+import repro.serving.simulator as simulator_module
+from repro.core.events import EventLoop
 from repro.serving import (
     Autoscaler,
     ChipFleet,
@@ -223,6 +225,28 @@ COMBINATIONS = {
         dict(router=replace(_ROUTER, stealing=False), autoscaler=_SCALER),
         False,
     ),
+    # a light load the autoscaler parks chips under: round robin must skip
+    # the parked chips
+    "router+autoscaler/round-robin": (
+        dict(
+            router=replace(_ROUTER, policy="round_robin", stealing=False),
+            autoscaler=_SCALER,
+            arrivals=PoissonArrivals(500.0, seq_len=[64, 128], seed=1),
+        ),
+        False,
+    ),
+    # a hop as long as a batch: a chip must not be parked while a request
+    # is on its way to it
+    "router+autoscaler/long-hop": (
+        dict(
+            router=replace(
+                _ROUTER, network=NetworkModel(link_latency_s=1e-3), stealing=False
+            ),
+            autoscaler=_SCALER,
+            arrivals=PoissonArrivals(300.0, seq_len=[64, 128], seed=0),
+        ),
+        False,
+    ),
     "faults+edf": (
         dict(batcher=_EDF, faults=_FAULTS, retry=RetryPolicy(deadline_s=0.05)),
         False,
@@ -233,12 +257,31 @@ COMBINATIONS = {
 }
 
 
+#: Far more events than any combination run pops: a run that reaches it is
+#: livelocked (e.g. requests stranded in a parked chip's queue while the
+#: autoscaler tick renews forever).
+MAX_EVENTS = 100_000
+
+
+class _BoundedEventLoop(EventLoop):
+    __slots__ = ()
+
+    def pop(self):
+        if self.events_popped >= MAX_EVENTS:
+            raise AssertionError(f"livelock: {MAX_EVENTS} events without resolving")
+        return super().pop()
+
+
 class TestFeatureCombinations:
     @pytest.mark.parametrize("name", list(COMBINATIONS))
-    def test_combination_invariants(self, name):
+    def test_combination_invariants(self, name, monkeypatch):
+        monkeypatch.setattr(simulator_module, "EventLoop", _BoundedEventLoop)
         kwargs, closed = COMBINATIONS[name]
         kwargs = dict(kwargs)
         batcher = kwargs.pop("batcher", DynamicBatcher(4, max_wait_s=1e-3))
+        arrivals = kwargs.pop(
+            "arrivals", PoissonArrivals(2000.0, seq_len=[64, 128], seed=1)
+        )
         model = FixedServiceModel(
             1e-3, request_energy_j=1e-6, sleep_entry_latency_s=1e-3, wake_latency_s=2e-3
         )
@@ -249,7 +292,6 @@ class TestFeatureCombinations:
             report = simulator.run_closed_loop(clients, offered)
         else:
             offered = 600
-            arrivals = PoissonArrivals(2000.0, seq_len=[64, 128], seed=1)
             report = simulator.run(arrivals.generate(offered))
 
         # each configured feature really acted on the run
