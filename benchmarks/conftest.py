@@ -54,6 +54,23 @@ def best_of(fn, repeats: int) -> float:
     return best
 
 
+def best_of_interleaved(fns, repeats: int) -> list[float]:
+    """Minimum wall time of each function over ``repeats`` interleaved rounds.
+
+    Every round calls each function once, and the order rotates from round
+    to round, so a slow spell of a shared host lands on both sides of a
+    ratio instead of on whichever side happened to run during it.
+    """
+    best = [float("inf")] * len(fns)
+    for round_index in range(repeats):
+        shift = round_index % len(fns)
+        for i in list(range(shift, len(fns))) + list(range(shift)):
+            start = time.perf_counter()
+            fns[i]()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
+
+
 @pytest.fixture
 def paper_values() -> dict[str, float]:
     """The headline numbers the paper reports, for side-by-side comparison."""

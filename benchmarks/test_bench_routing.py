@@ -10,7 +10,8 @@ Two gates guard the multi-queue router:
   long requests on small chips, the oracle does not.
 * **Overhead** — on a homogeneous fleet with free links the router's
   extra bookkeeping (route decision per request, per-queue dispatch
-  sweep) costs at most 1.2x the global-FIFO wall for the same traffic.
+  sweep) costs at most 1.2x the global-FIFO wall for the same traffic,
+  best of 3 rounds that time both sides, alternating which runs first.
 
 The service model here is a deliberately cheap per-token pricing (no
 accelerator schedules) so the benchmark times the *event loop and
@@ -33,7 +34,7 @@ from repro.serving import (
     SLOPolicy,
 )
 
-from conftest import best_of, mean_wall_s, record
+from conftest import best_of_interleaved, mean_wall_s, record
 
 SHORT_LEN, LONG_LEN = 64, 512
 NUM_REQUESTS = 30_000
@@ -136,9 +137,12 @@ def test_bench_router_overhead(benchmark):
             router=Router(policy="shortest_expected_delay"),
         ).run(requests)
 
-    global_wall = best_of(run_global, 3)
-    routed_wall = benchmark.pedantic(
-        lambda: best_of(run_routed, 3), rounds=1, iterations=1
+    # both sides in the same rounds, in alternating order: a busy spell on
+    # a shared host slows both instead of skewing the ratio
+    global_wall, routed_wall = benchmark.pedantic(
+        lambda: best_of_interleaved((run_global, run_routed), 3),
+        rounds=1,
+        iterations=1,
     )
     overhead = routed_wall / global_wall
     record(
