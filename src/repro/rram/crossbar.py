@@ -28,10 +28,20 @@ kernels are built exclusively from row-independent NumPy operations (plus an
 exact integer-arithmetic fast path for ideal devices), so the two are
 **bit-identical** under every configuration — differential or not, seeded
 read noise, IR drop and ADC saturation included.
+
+The exact path does its integer work in the fewest bytes the config
+allows: input codes are bit-sliced in the narrowest unsigned integer type
+that holds them, the stacked matmul runs in float32 whenever every partial
+sum it can form is an exact float32 integer (float64 otherwise), and
+wordline rows past the last one with a nonzero programmed level are
+skipped, since they add exactly zero.  None of this changes a single output
+bit: the per-cycle sums are the same integers, and they are widened to
+float64 before the first inexact (scaling) operation.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -57,23 +67,35 @@ class _Workspace(threading.local):
 
     Large per-call temporaries exceed the allocator's mmap threshold, so a
     fresh allocation pays page-fault cost on every VMM.  The workspace
-    keeps the two hot buffers alive between calls (a shape change simply
-    reallocates); it is thread-local, so crossbars driven from concurrent
-    sweep workers never share buffers.
+    keeps one flat buffer per ``(key, dtype)`` alive between calls and
+    hands out a view of its prefix, so tiles with different active row
+    counts or batch sizes share it without reallocating; it only grows.
+    It is thread-local, so crossbars driven from concurrent sweep workers
+    never share buffers.
     """
 
     def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
+        self._arrays: dict[tuple[str, np.dtype], np.ndarray] = {}
 
-    def get(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        arr = self._arrays.get(key)
-        if arr is None or arr.shape != shape:
-            arr = np.empty(shape, dtype=np.float64)
-            self._arrays[key] = arr
-        return arr
+    def get(self, key: str, shape: tuple[int, ...], dtype: np.dtype | type) -> np.ndarray:
+        size = math.prod(shape)
+        slot = (key, np.dtype(dtype))
+        arr = self._arrays.get(slot)
+        if arr is None or arr.size < size:
+            arr = np.empty(size, dtype=dtype)
+            self._arrays[slot] = arr
+        return arr[:size].reshape(shape)
 
 
 _WORKSPACE = _Workspace()
+
+
+def _reject_where(bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ``ValueError`` naming the first flagged entry, if any."""
+    if bad.any():
+        index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        index = tuple(int(i) for i in index)
+        raise ValueError(f"{message}, got {values[index]} at index {index}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +244,13 @@ class AnalogCrossbar:
         self._exact_levels: np.ndarray | None = None
         self._weight_scale: float = 1.0
         self._ir_drop_factors = self._build_ir_drop_factors()
+        cfg = self.config
+        # Narrowest unsigned type holding an input code and one DAC slice.
+        self._code_dtype = np.min_scalar_type((1 << max(cfg.input_bits, cfg.dac_bits)) - 1)
+        # The exact kernel's largest partial sum is rows x max DAC code x
+        # max level step; below 2**24 every one is an exact float32 integer.
+        max_sum = cfg.rows * (self.dac.num_levels - 1) * (self.device.config.num_levels - 1)
+        self._exact_dtype = np.float32 if max_sum < 1 << 24 else np.float64
 
     def _build_ir_drop_factors(self) -> np.ndarray | None:
         """Per-cell attenuation from wordline/bitline IR drop (first order).
@@ -276,6 +305,7 @@ class AnalogCrossbar:
                 f"weight matrix shape {matrix.shape} does not match crossbar "
                 f"{cfg.rows}x{cfg.cols}"
             )
+        _reject_where(~np.isfinite(matrix), matrix, "weights must be finite")
         if not cfg.differential and np.any(matrix < 0):
             raise ValueError(
                 "negative weights require a differential crossbar (config.differential=True)"
@@ -310,12 +340,13 @@ class AnalogCrossbar:
         # which enables matvec_batch's exact integer-arithmetic kernel: the
         # (differential) level matrix is all it needs, and the positive /
         # negative column contributions fold into one exact integer
-        # difference ahead of time.
+        # difference ahead of time.  Trailing all-zero rows (zero-padded
+        # operands) contribute exactly nothing, so they are not stored.
         if self.noise.config.is_programming_ideal:
-            levels_eff = levels_pos.astype(np.float64)
-            if cfg.differential:
-                levels_eff = levels_eff - levels_neg.astype(np.float64)
-            self._exact_levels = levels_eff
+            levels_eff = levels_pos - levels_neg if cfg.differential else levels_pos
+            nonzero_rows = np.flatnonzero(np.any(levels_eff != 0, axis=1))
+            active_rows = int(nonzero_rows[-1]) + 1 if nonzero_rows.size else 0
+            self._exact_levels = levels_eff[:active_rows].astype(self._exact_dtype)
         else:
             self._exact_levels = None
         self._weights = matrix.copy()
@@ -378,9 +409,9 @@ class AnalogCrossbar:
         Parameters
         ----------
         inputs:
-            ``(batch, rows)`` block of non-negative vectors in logical
-            units.  Each row is scaled to its own maximum, exactly as the
-            per-vector path does.
+            ``(batch, rows)`` block of non-negative, finite vectors in
+            logical units.  Each row is scaled to its own maximum, exactly
+            as the per-vector path does.
         quantize_output:
             As in :meth:`matvec`.
 
@@ -396,11 +427,17 @@ class AnalogCrossbar:
             raise ValueError(
                 f"input length {block.shape[1]} does not match crossbar rows {cfg.rows}"
             )
-        if np.any(block < 0):
-            raise ValueError("wordline inputs must be non-negative voltages/counts")
         batch = block.shape[0]
         if batch == 0:
             return np.zeros((0, cfg.cols), dtype=np.float64)
+        # two scans, no temporaries: NaN fails the first comparison, +inf
+        # the second
+        if not (block.min() >= 0.0 and block.max() < np.inf):
+            _reject_where(
+                ~((block >= 0.0) & (block < np.inf)),
+                block,
+                "wordline inputs must be non-negative and finite voltages/counts",
+            )
 
         if self.noise.config.read_noise_sigma > 0.0:
             per_vector = cfg.input_cycles * self._deviates_per_cycle()
@@ -433,7 +470,9 @@ class AnalogCrossbar:
         in_max = np.max(block, axis=1)
         in_scale = np.where(in_max > 0.0, in_max, 1.0)
         max_input_code = (1 << cfg.input_bits) - 1
-        input_codes = np.rint(block / in_scale[:, None] * max_input_code).astype(np.int64)
+        input_codes = np.rint(block / in_scale[:, None] * max_input_code).astype(
+            self._code_dtype
+        )
         full_scale = cfg.rows * v_read * span
 
         if (
@@ -474,9 +513,15 @@ class AnalogCrossbar:
         column pairs fold into one pre-computed level difference, and the
         single-ended ``g_min`` baseline subtraction cancels exactly).  All
         cycles stack into **one** integer-valued BLAS matmul whose products
-        and partial sums are exact float64 integers — evaluation order
-        cannot perturb them, so the batched result is bit-identical to the
+        and partial sums are exact integers — evaluation order cannot
+        perturb them, so the batched result is bit-identical to the
         single-row one.
+
+        The matmul runs in the dtype of the stored level matrix: float32
+        when the config bounds every partial sum below ``2**24``, else
+        float64.  It covers only the stored rows (up to the last one with a
+        nonzero level), and its integer sums are widened to float64 before
+        scaling, so the result does not depend on either choice.
         """
         cfg = self.config
         batch = input_codes.shape[0]
@@ -489,20 +534,27 @@ class AnalogCrossbar:
         volt_step = self.device.config.read_voltage_v / (dac_levels - 1)
 
         # dac_levels is always a power of two, so the bit-serial slices come
-        # from masks and shifts — identical integers, far fewer passes.  The
-        # slices are written straight into the float operand of the stacked
-        # matmul, and the scale/ADC chain runs in place on its output: the
-        # kernel allocates exactly two large arrays per call.
+        # from masks and shifts on the narrow integer codes — identical
+        # integers, far fewer bytes.  The slices are written straight into
+        # the float operand of the stacked matmul, and the scale/ADC chain
+        # runs in place on the float64 currents; all three large arrays are
+        # reused workspace buffers.
+        levels = self._exact_levels
+        active_rows = levels.shape[0]
         mask = dac_levels - 1
-        codes_f = _WORKSPACE.get("codes_f", (cycles, batch, cfg.rows))
-        remaining = input_codes
+        codes = _WORKSPACE.get("codes", (cycles, batch, active_rows), levels.dtype)
+        remaining = input_codes[:, :active_rows]
         for cycle in range(cycles):
-            codes_f[cycle] = remaining & mask
+            codes[cycle] = remaining & mask
             remaining = remaining >> self.dac.bits
-        level_sums = _WORKSPACE.get("level_sums", (cycles * batch, cfg.cols))
-        np.matmul(codes_f.reshape(cycles * batch, cfg.rows), self._exact_levels, out=level_sums)
-        currents = level_sums.reshape(cycles, batch, cfg.cols)
-        np.multiply(currents, g_step * volt_step, out=currents)
+        level_sums = _WORKSPACE.get("level_sums", (cycles * batch, cfg.cols), levels.dtype)
+        np.matmul(codes.reshape(cycles * batch, active_rows), levels, out=level_sums)
+        currents = _WORKSPACE.get("currents", (cycles, batch, cfg.cols), np.float64)
+        # the scale is a float64 scalar so a float32 operand is widened
+        # first: a Python float would keep the multiply in float32
+        np.multiply(
+            level_sums.reshape(currents.shape), np.float64(g_step * volt_step), out=currents
+        )
 
         if quantize_output:
             if cfg.differential:
@@ -563,7 +615,7 @@ class AnalogCrossbar:
                     g_neg_eff = g_neg_eff * self._ir_drop_factors
 
         accumulated = np.zeros((batch, cfg.cols), dtype=np.float64)
-        remaining = input_codes.copy()
+        remaining = input_codes.astype(np.int64)
         cycle_weight = 1
         for cycle in range(cfg.input_cycles):
             slice_codes = remaining % dac_levels

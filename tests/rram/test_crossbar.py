@@ -135,6 +135,22 @@ class TestMatvecAccuracy:
         with pytest.raises(ValueError):
             crossbar.matvec(np.array([-1.0] + [0.0] * 7))
 
+    def test_rejects_nan_inputs(self, rng):
+        crossbar = make_crossbar(rows=4, cols=3)
+        crossbar.program(np.abs(rng.normal(size=(4, 3))))
+        with pytest.raises(ValueError, match="finite.*got nan at index"):
+            crossbar.matvec(np.array([1.0, np.nan, 3.0, 4.0]))
+
+    @pytest.mark.parametrize("differential", [False, True])
+    def test_rejects_non_finite_weights(self, rng, differential):
+        crossbar = make_crossbar(rows=4, cols=3, differential=differential)
+        weights = np.abs(rng.normal(size=(4, 3)))
+        weights[2, 1] = np.nan
+        weights[3, 0] = np.inf
+        with pytest.raises(ValueError, match=r"weights must be finite, got nan at index \(2, 1\)"):
+            crossbar.program(weights)
+        assert not crossbar.is_programmed
+
     def test_read_noise_degrades_accuracy(self, rng):
         weights = rng.uniform(0.1, 1.0, size=(32, 8))
         inputs = rng.uniform(0.0, 1.0, size=32)

@@ -183,7 +183,15 @@ class TestBatchSemantics:
         crossbar.program(np.abs(np.random.default_rng(1).normal(size=(16, 8))))
         block = np.zeros((3, 16))
         block[1, 4] = -0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"at index \(1, 4\)"):
+            crossbar.matvec_batch(block)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        crossbar = build(rows=4, cols=3)
+        crossbar.program(np.abs(np.random.default_rng(1).normal(size=(4, 3))))
+        block = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 4.0], [bad, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=rf"got {bad} at index \(1, 1\)"):
             crossbar.matvec_batch(block)
 
     def test_requires_programming(self):
