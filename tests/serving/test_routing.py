@@ -241,16 +241,8 @@ class TestWorkStealing:
         with pytest.raises(ValueError, match="steal"):
             StealTable([0, 1], [1, 2], [0, 2], [0.0, 1.0])
 
-    def test_steal_table_round_trips_records(self):
-        records = [
-            StealRecord(batch_index=3, queue=1, chip=0, decided_s=0.5),
-            StealRecord(batch_index=7, queue=0, chip=1, decided_s=0.75),
-        ]
-        table = StealTable.from_records(records)
-        assert list(table) == records
-        assert table[1] == records[1]
-        assert list(table[1:]) == records[1:]
-        # RoutingStats converts records to the columnar table
+    def test_routing_stats_converts_steal_records(self):
+        # table round trips are covered in test_report_tables.py
         stats = self.steal_report(stealing=True).routing
         assert replace(stats, steals=list(stats.steals)) == stats
 
@@ -340,17 +332,32 @@ class TestRoutingStatsAndReport:
             assert stats.queue_mean_wait_s(queue) >= 0.0
 
     def test_merge_offsets_queues_and_sums_counters(self):
-        first, second = self.one_report(), self.one_report()
-        merged = ServingReport.merge([first, second])
+        stealing = TestWorkStealing().steal_report(stealing=True)
+        parts = [self.one_report(), stealing, stealing]
+        merged = ServingReport.merge(parts)
         stats = merged.routing
-        assert stats.num_routed == 400
-        assert stats.queue_peaks == first.routing.queue_peaks + second.routing.queue_peaks
-        assert stats.stolen_batches == (
-            first.routing.stolen_batches + second.routing.stolen_batches
-        )
-        for steal in stats.steals[len(first.routing.steals) :]:
-            assert steal.queue >= first.num_chips
-            assert steal.chip >= first.num_chips
+        assert stats.num_routed == 1000
+        assert stats.queue_peaks == sum((p.routing.queue_peaks for p in parts), ())
+        assert stats.stolen_batches == sum(p.routing.stolen_batches for p in parts)
+        # each shard's steals renumber by the batches and chips before it
+        expected = []
+        chip_offset = batch_offset = 0
+        for part in parts:
+            steals = part.routing.steals
+            expected.append(
+                StealTable(
+                    steals.batch_index + batch_offset,
+                    steals.queue + chip_offset,
+                    steals.chip + chip_offset,
+                    steals.decided_s,
+                )
+            )
+            chip_offset += part.num_chips
+            batch_offset += part.num_batches
+        assert len(stats.steals) == 2 * len(stealing.routing.steals) > 0
+        assert stats.steals == StealTable.concatenate(expected)
+        for steal in stats.steals:
+            assert merged.batches[steal.batch_index].chip == steal.chip
 
     def test_merge_routed_with_unrouted_rejected(self):
         routed_report = self.one_report()
