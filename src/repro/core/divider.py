@@ -51,6 +51,8 @@ class DividerUnit:
         saturation logic would emit.
         """
         values = as_1d_float_array(numerators, "numerators")
+        if values.size == 0:
+            raise ValueError("numerators must not be empty")
         self.divide_count += values.size
         if denominator <= 0.0:
             return np.full_like(values, 1.0 / values.size)

@@ -188,6 +188,15 @@ class TestDividerUnit:
         out = divider.divide(np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
         np.testing.assert_allclose(out, 0.25)
 
+    @pytest.mark.parametrize("denominator", [0.0, 2.0])
+    def test_empty_vector_rejected_like_divide_batch(self, denominator):
+        divider = DividerUnit()
+        with pytest.raises(ValueError, match="must not be empty"):
+            divider.divide(np.array([]), denominator)
+        with pytest.raises(ValueError, match="must not be empty"):
+            divider.divide_batch(np.empty((1, 0)), np.array([denominator]))
+        assert divider.divide_count == 0
+
     def test_quotient_truncation(self):
         divider = DividerUnit(quotient_frac_bits=2)
         out = divider.divide(np.array([1.0]), 3.0)
