@@ -7,14 +7,19 @@ utilization, batching efficacy and energy per query — plus the raw
 per-request and per-batch records the property tests and Little's-law
 cross-checks consume.
 
-Storage is *columnar*: per-request and per-batch data live in parallel
-numpy arrays (:class:`RequestTable`, :class:`BatchTable`), not tuples of
-Python record objects, so million-request reports summarize in
-vectorized time, pickle compactly across process boundaries, and merge
-cheaply.  The record dataclasses (:class:`RequestRecord`,
-:class:`BatchRecord`) survive as lazy views — iterating or indexing a
-table materializes them on demand — so every existing consumer keeps
-working unchanged.
+Storage is *columnar*: per-request, per-batch and per-steal data live in
+parallel numpy arrays (:class:`RequestTable`, :class:`BatchTable`,
+:class:`StealTable`), not tuples of Python record objects, so
+million-request reports summarize in vectorized time, pickle compactly
+across process boundaries, and merge cheaply.  Each table is derived from
+its record dataclass (:class:`RequestRecord`, :class:`BatchRecord`,
+:class:`StealRecord`): the record's fields are the table's columns, in
+order, with dtypes from their annotations and defaults for the columns a
+caller may omit, so a new column is one new record field.  The records
+survive as lazy views — iterating or indexing a table materializes them
+on demand — and the interval properties (``latency_s``, ``wait_s``,
+``met_deadline``, ``service_s``) are written once for a record's scalars
+and a table's columns alike.
 
 :meth:`ServingReport.merge` folds the per-shard reports of a sharded run
 into one fleet-wide report: latency samples pooled exactly (full sample
@@ -32,8 +37,9 @@ so healthy-path reports are bit-identical to the pre-fault format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+import inspect
+from dataclasses import dataclass, fields, replace
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -55,8 +61,134 @@ __all__ = [
 ]
 
 
+#: Column dtype of each record field annotation.
+_DTYPES = {int: np.dtype(np.int64), float: np.dtype(np.float64)}
+
+
+class _ColumnTable:
+    """Columnar store of one record dataclass: one numpy array per field.
+
+    A subclass names its record, ``class T(_ColumnTable, record=R)``, and
+    the record is the schema: its fields give the column order, their
+    ``int``/``float`` annotations the dtypes (``int64``/``float64``) and
+    their defaults fill columns a caller omits.  Columns are passed by
+    position or by name and must all be the same length.  Integer
+    indexing and iteration materialize record views; a slice gives the
+    sub-table.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, record: type, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        types = get_type_hints(record)
+        cls._record = record
+        cls._signature = inspect.signature(record)
+        cls._dtypes = {f.name: _DTYPES[types[f.name]] for f in fields(record)}
+
+    def __init__(self, *args, **kwargs) -> None:
+        given = self._signature.bind(*args, **kwargs).arguments
+        length = None
+        for name, dtype in self._dtypes.items():
+            if name in given:
+                column = np.atleast_1d(np.asarray(given[name], dtype=dtype))
+            else:
+                column = np.full(length, self._signature.parameters[name].default, dtype)
+            if length is None:
+                length = column.size
+            elif column.size != length:
+                raise ValueError(
+                    f"{type(self).__name__} column {name!r} has {column.size} "
+                    f"entries for {length} rows"
+                )
+            setattr(self, name, column)
+
+    @classmethod
+    def from_records(cls, records: Iterable) -> "_ColumnTable":
+        records = list(records)
+        return cls(**{name: [getattr(r, name) for r in records] for name in cls._dtypes})
+
+    @classmethod
+    def concatenate(cls, tables: Sequence["_ColumnTable"]) -> "_ColumnTable":
+        return cls(
+            **{
+                name: np.concatenate([getattr(t, name) for t in tables])
+                for name in cls._dtypes
+            }
+        )
+
+    @classmethod
+    def coerce(cls, rows) -> "_ColumnTable":
+        """``rows`` if it already is this table, else the table of its records."""
+        return rows if isinstance(rows, cls) else cls.from_records(rows)
+
+    def shifted(self, **offsets) -> "_ColumnTable":
+        """A copy with each named column offset by its value (shard merges)."""
+        columns = {name: getattr(self, name) for name in self._dtypes}
+        for name, offset in offsets.items():
+            columns[name] = columns[name] + offset
+        return type(self)(**columns)
+
+    def __len__(self) -> int:
+        return getattr(self, next(iter(self._dtypes))).size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return type(self)(**{name: getattr(self, name)[i] for name in self._dtypes})
+        return self._record(*[getattr(self, name)[i].item() for name in self._dtypes])
+
+    def __iter__(self) -> Iterator:
+        columns = [getattr(self, name).tolist() for name in self._dtypes]
+        return (self._record(*row) for row in zip(*columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self._dtypes
+        )
+
+
+class _RequestTimes:
+    """Per-request intervals; the same expressions serve a record's scalars
+    and a table's columns."""
+
+    __slots__ = ()
+
+    @property
+    def wait_s(self):
+        """Time spent queued before a chip started the request's batch."""
+        return self.dispatch_s - self.arrival_s
+
+    @property
+    def latency_s(self):
+        """End-to-end request latency (arrival to completion)."""
+        return self.completion_s - self.arrival_s
+
+    @property
+    def met_deadline(self):
+        """Whether the request completed within its own relative deadline.
+
+        Untagged requests carry an infinite deadline and always count as
+        met, so overall attainment over mixed traffic is well defined.
+        """
+        return self.latency_s <= self.deadline_s
+
+
+class _BatchTimes:
+    """Per-batch chip occupancy, for a record and a table alike."""
+
+    __slots__ = ()
+
+    @property
+    def service_s(self):
+        """Chip occupancy of the batch."""
+        return self.completion_s - self.dispatch_s
+
+
 @dataclass(frozen=True, slots=True)
-class RequestRecord:
+class RequestRecord(_RequestTimes):
     """Timestamps of one request's trip through the serving system.
 
     ``attempts`` counts failed service attempts before the completing one:
@@ -77,24 +209,9 @@ class RequestRecord:
     slo_class: int = 0
     deadline_s: float = float("inf")
 
-    @property
-    def wait_s(self) -> float:
-        """Time spent queued before a chip started the request's batch."""
-        return self.dispatch_s - self.arrival_s
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end request latency (arrival to completion)."""
-        return self.completion_s - self.arrival_s
-
-    @property
-    def met_deadline(self) -> bool:
-        """Whether the request completed within its own relative deadline."""
-        return self.latency_s <= self.deadline_s
-
 
 @dataclass(frozen=True, slots=True)
-class BatchRecord:
+class BatchRecord(_BatchTimes):
     """One dispatched batch and what serving it cost.
 
     ``tier`` is the fidelity tier that priced the batch — 0 for the
@@ -112,258 +229,13 @@ class BatchRecord:
     energy_j: float
     tier: int = 0
 
-    @property
-    def service_s(self) -> float:
-        """Chip occupancy of the batch."""
-        return self.completion_s - self.dispatch_s
+
+class RequestTable(_ColumnTable, _RequestTimes, record=RequestRecord):
+    """Columnar store of completed-request records."""
 
 
-def _column(values, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    return np.atleast_1d(arr)
-
-
-class RequestTable:
-    """Columnar store of completed-request records.
-
-    One numpy array per :class:`RequestRecord` field, all the same length.
-    Iterating or indexing materializes :class:`RequestRecord` views for
-    compatibility with record-at-a-time consumers; bulk consumers use the
-    column arrays directly.
-    """
-
-    __slots__ = (
-        "index",
-        "arrival_s",
-        "dispatch_s",
-        "completion_s",
-        "chip",
-        "batch_index",
-        "batch_size",
-        "seq_len",
-        "attempts",
-        "slo_class",
-        "deadline_s",
-    )
-
-    def __init__(
-        self,
-        index,
-        arrival_s,
-        dispatch_s,
-        completion_s,
-        chip,
-        batch_index,
-        batch_size,
-        seq_len,
-        attempts,
-        slo_class=None,
-        deadline_s=None,
-    ) -> None:
-        self.index = _column(index, np.int64)
-        self.arrival_s = _column(arrival_s, np.float64)
-        self.dispatch_s = _column(dispatch_s, np.float64)
-        self.completion_s = _column(completion_s, np.float64)
-        self.chip = _column(chip, np.int64)
-        self.batch_index = _column(batch_index, np.int64)
-        self.batch_size = _column(batch_size, np.int64)
-        self.seq_len = _column(seq_len, np.int64)
-        self.attempts = _column(attempts, np.int64)
-        # SLO columns default to the untagged state so pre-SLO callers
-        # (and pickles) keep constructing 9-column tables unchanged.
-        if slo_class is None:
-            self.slo_class = np.zeros(self.index.size, dtype=np.int64)
-        else:
-            self.slo_class = _column(slo_class, np.int64)
-        if deadline_s is None:
-            self.deadline_s = np.full(self.index.size, np.inf, dtype=np.float64)
-        else:
-            self.deadline_s = _column(deadline_s, np.float64)
-        length = self.index.size
-        for name in self.__slots__:
-            if getattr(self, name).size != length:
-                raise ValueError(
-                    f"request column {name!r} has {getattr(self, name).size} "
-                    f"entries for {length} requests"
-                )
-
-    @classmethod
-    def empty(cls) -> "RequestTable":
-        return cls(*[[] for _ in cls.__slots__])
-
-    @classmethod
-    def from_records(cls, records: Iterable[RequestRecord]) -> "RequestTable":
-        records = list(records)
-        return cls(
-            [r.index for r in records],
-            [r.arrival_s for r in records],
-            [r.dispatch_s for r in records],
-            [r.completion_s for r in records],
-            [r.chip for r in records],
-            [r.batch_index for r in records],
-            [r.batch_size for r in records],
-            [r.seq_len for r in records],
-            [r.attempts for r in records],
-            [r.slo_class for r in records],
-            [r.deadline_s for r in records],
-        )
-
-    @classmethod
-    def concatenate(cls, tables: Sequence["RequestTable"]) -> "RequestTable":
-        return cls(
-            *[
-                np.concatenate([getattr(t, name) for t in tables])
-                for name in cls.__slots__
-            ]
-        )
-
-    def __len__(self) -> int:
-        return self.index.size
-
-    def __getitem__(self, i: int) -> RequestRecord:
-        return RequestRecord(
-            index=int(self.index[i]),
-            arrival_s=float(self.arrival_s[i]),
-            dispatch_s=float(self.dispatch_s[i]),
-            completion_s=float(self.completion_s[i]),
-            chip=int(self.chip[i]),
-            batch_index=int(self.batch_index[i]),
-            batch_size=int(self.batch_size[i]),
-            seq_len=int(self.seq_len[i]),
-            attempts=int(self.attempts[i]),
-            slo_class=int(self.slo_class[i]),
-            deadline_s=float(self.deadline_s[i]),
-        )
-
-    def __iter__(self) -> Iterator[RequestRecord]:
-        for i in range(len(self)):
-            yield self[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RequestTable):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__slots__
-        )
-
-    @property
-    def latency_s(self) -> np.ndarray:
-        """End-to-end latencies, one per completed request."""
-        return self.completion_s - self.arrival_s
-
-    @property
-    def wait_s(self) -> np.ndarray:
-        """Queueing delays before dispatch, one per completed request."""
-        return self.dispatch_s - self.arrival_s
-
-    @property
-    def met_deadline(self) -> np.ndarray:
-        """Boolean per request: completed within its own relative deadline.
-
-        Untagged requests carry an infinite deadline and always count as
-        met, so overall attainment over mixed traffic is well defined.
-        """
-        return self.latency_s <= self.deadline_s
-
-
-class BatchTable:
-    """Columnar store of dispatched-batch records (see :class:`RequestTable`)."""
-
-    __slots__ = (
-        "index",
-        "chip",
-        "dispatch_s",
-        "completion_s",
-        "size",
-        "seq_len",
-        "energy_j",
-        "tier",
-    )
-
-    def __init__(
-        self, index, chip, dispatch_s, completion_s, size, seq_len, energy_j,
-        tier=None,
-    ) -> None:
-        self.index = _column(index, np.int64)
-        self.chip = _column(chip, np.int64)
-        self.dispatch_s = _column(dispatch_s, np.float64)
-        self.completion_s = _column(completion_s, np.float64)
-        self.size = _column(size, np.int64)
-        self.seq_len = _column(seq_len, np.int64)
-        self.energy_j = _column(energy_j, np.float64)
-        # the tier column defaults to all-analytic so pre-tiering callers
-        # (and pickles) keep constructing 7-column tables unchanged
-        if tier is None:
-            self.tier = np.zeros(self.index.size, dtype=np.int64)
-        else:
-            self.tier = _column(tier, np.int64)
-        length = self.index.size
-        for name in self.__slots__:
-            if getattr(self, name).size != length:
-                raise ValueError(
-                    f"batch column {name!r} has {getattr(self, name).size} "
-                    f"entries for {length} batches"
-                )
-
-    @classmethod
-    def empty(cls) -> "BatchTable":
-        return cls(*[[] for _ in cls.__slots__])
-
-    @classmethod
-    def from_records(cls, records: Iterable[BatchRecord]) -> "BatchTable":
-        records = list(records)
-        return cls(
-            [b.index for b in records],
-            [b.chip for b in records],
-            [b.dispatch_s for b in records],
-            [b.completion_s for b in records],
-            [b.size for b in records],
-            [b.seq_len for b in records],
-            [b.energy_j for b in records],
-            [b.tier for b in records],
-        )
-
-    @classmethod
-    def concatenate(cls, tables: Sequence["BatchTable"]) -> "BatchTable":
-        return cls(
-            *[
-                np.concatenate([getattr(t, name) for t in tables])
-                for name in cls.__slots__
-            ]
-        )
-
-    def __len__(self) -> int:
-        return self.index.size
-
-    def __getitem__(self, i: int) -> BatchRecord:
-        return BatchRecord(
-            index=int(self.index[i]),
-            chip=int(self.chip[i]),
-            dispatch_s=float(self.dispatch_s[i]),
-            completion_s=float(self.completion_s[i]),
-            size=int(self.size[i]),
-            seq_len=int(self.seq_len[i]),
-            energy_j=float(self.energy_j[i]),
-            tier=int(self.tier[i]),
-        )
-
-    def __iter__(self) -> Iterator[BatchRecord]:
-        for i in range(len(self)):
-            yield self[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BatchTable):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__slots__
-        )
-
-    @property
-    def service_s(self) -> np.ndarray:
-        """Chip occupancy per batch."""
-        return self.completion_s - self.dispatch_s
+class BatchTable(_ColumnTable, _BatchTimes, record=BatchRecord):
+    """Columnar store of dispatched-batch records."""
 
 
 #: Reasons a request can leave the system without completing.
@@ -485,73 +357,14 @@ class StealRecord:
             raise ValueError(f"steal from queue {self.queue} to its own chip")
 
 
-class StealTable:
-    """Columnar store of work-steal records (see :class:`RequestTable`).
+class StealTable(_ColumnTable, record=StealRecord):
+    """Columnar store of work-steal records."""
 
-    Indexing with a slice gives the sub-table of those steals.
-    """
-
-    __slots__ = ("batch_index", "queue", "chip", "decided_s")
-
-    def __init__(self, batch_index, queue, chip, decided_s) -> None:
-        self.batch_index = _column(batch_index, np.int64)
-        self.queue = _column(queue, np.int64)
-        self.chip = _column(chip, np.int64)
-        self.decided_s = _column(decided_s, np.float64)
-        length = self.batch_index.size
-        for name in self.__slots__:
-            if getattr(self, name).size != length:
-                raise ValueError(
-                    f"steal column {name!r} has {getattr(self, name).size} "
-                    f"entries for {length} steals"
-                )
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         own = np.flatnonzero(self.queue == self.chip)
         if own.size:
             raise ValueError(f"steal from queue {self.queue[own[0]]} to its own chip")
-
-    @classmethod
-    def from_records(cls, records: Iterable[StealRecord]) -> "StealTable":
-        records = list(records)
-        return cls(
-            [s.batch_index for s in records],
-            [s.queue for s in records],
-            [s.chip for s in records],
-            [s.decided_s for s in records],
-        )
-
-    @classmethod
-    def concatenate(cls, tables: Sequence["StealTable"]) -> "StealTable":
-        return cls(
-            *[
-                np.concatenate([getattr(t, name) for t in tables])
-                for name in cls.__slots__
-            ]
-        )
-
-    def __len__(self) -> int:
-        return self.batch_index.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return StealTable(*[getattr(self, name)[i] for name in self.__slots__])
-        return StealRecord(
-            batch_index=int(self.batch_index[i]),
-            queue=int(self.queue[i]),
-            chip=int(self.chip[i]),
-            decided_s=float(self.decided_s[i]),
-        )
-
-    def __iter__(self) -> Iterator[StealRecord]:
-        for i in range(len(self)):
-            yield self[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StealTable):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__slots__
-        )
 
 
 @dataclass(frozen=True)
@@ -580,8 +393,7 @@ class RoutingStats:
     steals: StealTable = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.steals, StealTable):
-            object.__setattr__(self, "steals", StealTable.from_records(self.steals))
+        object.__setattr__(self, "steals", StealTable.coerce(self.steals))
 
     @property
     def num_queues(self) -> int:
@@ -616,11 +428,8 @@ class RoutingStats:
                 f"{sorted(policies)}"
             )
         steals = [
-            StealTable(
-                s.steals.batch_index + batch_offset,
-                s.steals.queue + chip_offset,
-                s.steals.chip + chip_offset,
-                s.steals.decided_s,
+            s.steals.shifted(
+                batch_index=batch_offset, queue=chip_offset, chip=chip_offset
             )
             for s, chip_offset, batch_offset in parts
         ]
@@ -638,18 +447,6 @@ class RoutingStats:
             queue_wait_s=tuple(w for s, _, _ in parts for w in s.queue_wait_s),
             steals=StealTable.concatenate(steals),
         )
-
-
-def _as_request_table(requests) -> RequestTable:
-    if isinstance(requests, RequestTable):
-        return requests
-    return RequestTable.from_records(requests)
-
-
-def _as_batch_table(batches) -> BatchTable:
-    if isinstance(batches, BatchTable):
-        return batches
-    return BatchTable.from_records(batches)
 
 
 @dataclass(frozen=True, eq=False)
@@ -688,8 +485,8 @@ class ServingReport:
     routing: RoutingStats | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "requests", _as_request_table(self.requests))
-        object.__setattr__(self, "batches", _as_batch_table(self.batches))
+        object.__setattr__(self, "requests", RequestTable.coerce(self.requests))
+        object.__setattr__(self, "batches", BatchTable.coerce(self.batches))
 
     # ------------------------------------------------------------------ #
     # merging (sharded runs)
@@ -730,31 +527,10 @@ class ServingReport:
             requests = report.requests
             batches = report.batches
             request_tables.append(
-                RequestTable(
-                    requests.index,
-                    requests.arrival_s,
-                    requests.dispatch_s,
-                    requests.completion_s,
-                    requests.chip + chip_offset,
-                    requests.batch_index + batch_offset,
-                    requests.batch_size,
-                    requests.seq_len,
-                    requests.attempts,
-                    requests.slo_class,
-                    requests.deadline_s,
-                )
+                requests.shifted(chip=chip_offset, batch_index=batch_offset)
             )
             batch_tables.append(
-                BatchTable(
-                    batches.index + batch_offset,
-                    batches.chip + chip_offset,
-                    batches.dispatch_s,
-                    batches.completion_s,
-                    batches.size,
-                    batches.seq_len,
-                    batches.energy_j,
-                    batches.tier,
-                )
+                batches.shifted(index=batch_offset, chip=chip_offset)
             )
             failures.extend(
                 replace(f, chip=f.chip + chip_offset) for f in report.failures

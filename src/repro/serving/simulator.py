@@ -194,27 +194,27 @@ class _Ledger:
         seq_len = np.asarray(self.b_seq_len, dtype=np.int64)
         batch_of_request = np.asarray(self.req_batch, dtype=np.int64)
         requests = RequestTable(
-            np.asarray(self.req_index, dtype=np.int64),
-            np.asarray(self.req_arrival, dtype=np.float64),
-            dispatch[batch_of_request],
-            completion[batch_of_request],
-            chip[batch_of_request],
-            batch_of_request,
-            size[batch_of_request],
-            seq_len[batch_of_request],
-            np.asarray(self.req_attempts, dtype=np.int64),
-            np.asarray(self.req_slo, dtype=np.int64),
-            np.asarray(self.req_deadline, dtype=np.float64),
+            index=self.req_index,
+            arrival_s=self.req_arrival,
+            dispatch_s=dispatch[batch_of_request],
+            completion_s=completion[batch_of_request],
+            chip=chip[batch_of_request],
+            batch_index=batch_of_request,
+            batch_size=size[batch_of_request],
+            seq_len=seq_len[batch_of_request],
+            attempts=self.req_attempts,
+            slo_class=self.req_slo,
+            deadline_s=self.req_deadline,
         )
         batches = BatchTable(
-            np.arange(len(chip), dtype=np.int64),
-            chip,
-            dispatch,
-            completion,
-            size,
-            seq_len,
-            np.asarray(self.b_energy, dtype=np.float64),
-            np.asarray(self.b_tier, dtype=np.int64),
+            index=np.arange(len(chip)),
+            chip=chip,
+            dispatch_s=dispatch,
+            completion_s=completion,
+            size=size,
+            seq_len=seq_len,
+            energy_j=self.b_energy,
+            tier=self.b_tier,
         )
 
         routing = None
@@ -224,10 +224,10 @@ class _Ledger:
             queue = np.asarray(self.b_queue, dtype=np.int64)
             stolen = np.flatnonzero(queue != chip)
             steals = StealTable(
-                stolen,
-                queue[stolen],
-                chip[stolen],
-                np.asarray(self.b_decided, dtype=np.float64)[stolen],
+                batch_index=stolen,
+                queue=queue[stolen],
+                chip=chip[stolen],
+                decided_s=np.asarray(self.b_decided)[stolen],
             )
             # per-queue dispatch counts and waits of the completed requests
             queue_of_request = queue[batch_of_request]
@@ -246,7 +246,7 @@ class _Ledger:
                 queue_wait_s=tuple(
                     np.bincount(
                         queue_of_request,
-                        weights=requests.dispatch_s - requests.arrival_s,
+                        weights=requests.wait_s,
                         minlength=num_chips,
                     ).tolist()
                 ),

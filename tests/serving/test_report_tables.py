@@ -3,8 +3,9 @@
 :class:`RequestTable`, :class:`BatchTable` and :class:`StealTable` store
 one numpy column per field of their record dataclass.  Every case here is
 parametrized over the three, so the contract — record round trips,
-construction, concatenation, equality, pickling, defaults, dtypes, the
-empty table and ragged-column rejection — holds for each schema alike.
+construction, defaults, dtypes, slicing, offsets, concatenation, equality,
+pickling, the empty table and ragged-column rejection — holds for each
+schema alike.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ CASES = {
             ("slo_class", I64),
             ("deadline_s", F64),
         ),
-        defaults={"slo_class": 0, "deadline_s": np.inf},
+        defaults={"attempts": 0, "slo_class": 0, "deadline_s": np.inf},
         derived=("latency_s", "wait_s", "met_deadline"),
         records=[
             RequestRecord(0, 0.0, 0.5, 1.5, 1, 0, 2, 128),
@@ -175,6 +176,29 @@ def test_derived_columns_match_the_record_properties(case):
         assert getattr(table, name).tolist() == [
             getattr(r, name) for r in case.records
         ]
+
+
+def test_slices_are_sub_tables(case):
+    table = case.full()
+    for part in (slice(1, None), slice(None, -1), slice(None, None, 2), slice(2, 2)):
+        assert table[part] == case.table.from_records(case.records[part])
+
+
+def test_shifted_offsets_only_the_named_columns(case):
+    table = case.full()
+    ints = [name for name, dtype in case.schema if dtype == I64][:2]
+    shifted = table.shifted(**{name: 10 for name in ints})
+    for name, dtype in case.schema:
+        expected = getattr(table, name) + (10 if name in ints else 0)
+        assert getattr(shifted, name).dtype == dtype
+        assert np.array_equal(getattr(shifted, name), expected)
+
+
+def test_coerce_keeps_a_table_and_converts_records(case):
+    table = case.full()
+    assert case.table.coerce(table) is table
+    assert case.table.coerce(iter(case.records)) == table
+    assert case.table.coerce(()) == case.table.from_records([])
 
 
 def test_concatenate(case):
