@@ -93,7 +93,8 @@ class _ColumnTable:
             if name in given:
                 column = np.atleast_1d(np.asarray(given[name], dtype=dtype))
             else:
-                column = np.full(length, self._signature.parameters[name].default, dtype)
+                default = self._signature.parameters[name].default
+                column = np.full(length, default, dtype=dtype)
             if length is None:
                 length = column.size
             elif column.size != length:
@@ -106,7 +107,9 @@ class _ColumnTable:
     @classmethod
     def from_records(cls, records: Iterable) -> "_ColumnTable":
         records = list(records)
-        return cls(**{name: [getattr(r, name) for r in records] for name in cls._dtypes})
+        return cls(
+            **{name: [getattr(r, name) for r in records] for name in cls._dtypes}
+        )
 
     @classmethod
     def concatenate(cls, tables: Sequence["_ColumnTable"]) -> "_ColumnTable":
@@ -524,13 +527,11 @@ class ServingReport:
         chip_offset = 0
         batch_offset = 0
         for report in reports:
-            requests = report.requests
-            batches = report.batches
             request_tables.append(
-                requests.shifted(chip=chip_offset, batch_index=batch_offset)
+                report.requests.shifted(chip=chip_offset, batch_index=batch_offset)
             )
             batch_tables.append(
-                batches.shifted(index=batch_offset, chip=chip_offset)
+                report.batches.shifted(index=batch_offset, chip=chip_offset)
             )
             failures.extend(
                 replace(f, chip=f.chip + chip_offset) for f in report.failures
@@ -541,7 +542,7 @@ class ServingReport:
             if report.routing is not None:
                 routing_parts.append((report.routing, chip_offset, batch_offset))
             chip_offset += report.num_chips
-            batch_offset += len(batches)
+            batch_offset += report.num_batches
         return cls(
             num_chips=chip_offset,
             requests=RequestTable.concatenate(request_tables),
